@@ -1,6 +1,6 @@
 //! **Table 1** — characteristics of the benchmark graphs
 //! (paper: nodes / edges / diameter for twitter, livejournal, roads-CA/PA/TX,
-//! mesh1000; here: their synthetic substitutes, see DESIGN.md §2).
+//! mesh1000; here: their synthetic substitutes, see `pardec_bench::workloads`).
 
 use pardec_bench::{report::Table, scale_from_args, timed, workloads};
 

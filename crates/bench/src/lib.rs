@@ -1,7 +1,7 @@
 //! # pardec-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§6) on the
-//! synthetic dataset substitutes described in DESIGN.md §2:
+//! synthetic dataset substitutes of [`workloads`]:
 //!
 //! | binary | paper artifact |
 //! |---|---|

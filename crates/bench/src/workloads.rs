@@ -8,8 +8,10 @@
 //! | `synth-road-ca/pa/tx` | roads-CA/PA/TX (Δ 786–1054) | sparsified grid |
 //! | `mesh` | mesh1000 (10⁶ nodes, Δ 1998) | 2-D mesh (exact at `full`) |
 //!
-//! See DESIGN.md §2 for why each substitution preserves the behaviour the
-//! evaluation depends on.
+//! Each substitute keeps the property of its original that the evaluation
+//! turns on: small diameter and a heavy-tailed degree distribution for the
+//! social graphs, long diameter and low doubling dimension for the roads
+//! and the mesh.
 
 use pardec_graph::{generators, CsrGraph};
 

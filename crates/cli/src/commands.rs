@@ -65,7 +65,7 @@ command tree:
                   [--seed S] [--no-oracle]   (writes a PDEC2 session snapshot)
   snapshot info   --snapshot FILE            (prints the section table)
   serve           --snapshot FILE [--addr HOST:PORT] [--accept-threads N]
-                  [--checked]                (resident query daemon)
+                  (resident query daemon; validates the snapshot)
                   hardening: [--read-timeout-ms N] [--idle-timeout-ms N]
                   [--deadline-ms N] [--max-batch N] [--max-concurrent N]
                   [--max-inflight-mb N] [--allow-reload]
@@ -528,7 +528,7 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
         // Compression ledger: the stored gap-coded section vs. what the
         // same graph would occupy as a plain `GRPH` payload
         // (n, arcs, (n+1) offsets, arcs targets).
-        let repr = snap.graph_repr()?;
+        let repr = snap.graph()?;
         let (n, arcs) = (repr.num_nodes(), repr.num_arcs());
         let plain = 16 + 8 * (n as u64 + 1) + 4 * arcs as u64;
         println!(
@@ -539,7 +539,6 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
         );
     }
     if snap.section(SECTION_CLUSTERING).is_some() {
-        // Untrusted file: full checked load (builder graph + validate).
         let session = Session::load_checked(&bytes, FrontierStrategy::default_from_env())?;
         println!(
             "graph         {} nodes / {} edges",
@@ -557,7 +556,7 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
             }
         );
     } else {
-        let g = snap.graph_checked()?;
+        let g = snap.graph()?;
         println!(
             "graph         {} nodes / {} edges",
             g.num_nodes(),
@@ -827,7 +826,7 @@ mod tests {
         dispatch(&args(&format!("snapshot info --snapshot {snap_path}"))).unwrap();
         // The written file loads as a full session with an oracle.
         let bytes = std::fs::read(&snap_path).unwrap();
-        let s = Session::load(&bytes, FrontierStrategy::TopDown).unwrap();
+        let s = Session::load_checked(&bytes, FrontierStrategy::TopDown).unwrap();
         assert_eq!(s.graph().num_nodes(), 64);
         assert!(s.oracle().is_some());
         // --no-oracle drops the ORCL section.
@@ -836,7 +835,7 @@ mod tests {
         )))
         .unwrap();
         let bytes = std::fs::read(&snap_path).unwrap();
-        let s = Session::load(&bytes, FrontierStrategy::TopDown).unwrap();
+        let s = Session::load_checked(&bytes, FrontierStrategy::TopDown).unwrap();
         assert!(s.oracle().is_none());
         // Unknown subs error.
         assert!(dispatch(&args(&format!(
@@ -874,8 +873,8 @@ mod tests {
         let bytes = std::fs::read(&snap_path).unwrap();
         let plain_bytes = std::fs::read(&snap_plain).unwrap();
         assert!(bytes.len() < plain_bytes.len());
-        let c = Session::load(&bytes, FrontierStrategy::TopDown).unwrap();
-        let p = Session::load(&plain_bytes, FrontierStrategy::TopDown).unwrap();
+        let c = Session::load_checked(&bytes, FrontierStrategy::TopDown).unwrap();
+        let p = Session::load_checked(&plain_bytes, FrontierStrategy::TopDown).unwrap();
         assert_eq!(c.backend(), pardec_graph::Backend::Compressed);
         assert_eq!(p.backend(), pardec_graph::Backend::Plain);
         // Identical decomposition regardless of the stored backend.

@@ -1,8 +1,9 @@
 //! `pardec serve` — the resident decomposition-query daemon.
 //!
-//! Loads a `PDEC2` session snapshot (graph + clustering + optional oracle),
-//! binds a TCP listener, and answers batched queries over the length-prefixed
-//! protocol of [`pardec_core::wire`] until a `SHUTDOWN` request arrives.
+//! Loads a `PDEC2` session snapshot (graph + clustering + optional oracle)
+//! through the validating [`Session::load_checked`], binds a TCP listener,
+//! and answers batched queries over the length-prefixed protocol of
+//! [`pardec_core::wire`] until a `SHUTDOWN` request arrives.
 //!
 //! ```text
 //! pardec snapshot save --graph mesh.txt --tau 8 --out mesh.pdec
@@ -18,8 +19,6 @@
 //!   `RAYON_NUM_THREADS`, else all cores). Responses are byte-identical at
 //!   any value.
 //! * `--frontier S` — strategy for `NEAREST` waves (results identical).
-//! * `--checked` — load the snapshot through the checked path (builder
-//!   graph decode + full clustering validation) for files of unknown origin.
 //!
 //! Fault-tolerance knobs (defaults in [`wire::ServeConfig`]):
 //! * `--read-timeout-ms N` — socket timeout while inside a frame; stalled
@@ -31,10 +30,10 @@
 //! * `--max-concurrent N` / `--max-inflight-mb N` — admission gate; excess
 //!   load is shed with `ERR_OVERLOADED` + a retry hint.
 //! * `--allow-reload` — honor wire `OP_RELOAD` requests (hot snapshot
-//!   swap through the checked loader; corrupt files roll back).
+//!   swap through the same validating loader; corrupt files roll back).
 //! * `--reload-signal PATH` — watch for `PATH` to appear; when it does,
 //!   delete it and reload the serving snapshot in-process (implies the
-//!   same checked-load + rollback semantics; does not require
+//!   same validating load + rollback semantics; does not require
 //!   `--allow-reload`).
 
 use crate::args::Args;
@@ -110,11 +109,7 @@ pub(crate) fn cmd_serve(args: &Args) -> CmdResult {
     let path = args.req("snapshot")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let strategy = frontier(args)?;
-    let session = if args.has_flag("checked") {
-        Session::load_checked(&bytes, strategy)?
-    } else {
-        Session::load(&bytes, strategy)?
-    };
+    let session = Session::load_checked(&bytes, strategy)?;
     drop(bytes);
     let config = serve_config(args, path)?;
 

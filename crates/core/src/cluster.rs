@@ -142,7 +142,7 @@ pub fn cluster<G: NeighborAccess>(g: &G, params: &ClusterParams) -> ClusterResul
 
     // The paper's while loop runs ℓ = ⌈log(n / (8τ log n))⌉ ≤ log n times in
     // expectation; the hard cap below only guards against adversarially
-    // unlucky seeds on disconnected graphs (see DESIGN.md §5.2).
+    // unlucky seeds on disconnected graphs.
     let max_iterations = (2.0 * logn) as usize + 32;
 
     while (eng.uncovered() as f64) >= threshold && trace.iterations.len() < max_iterations {

@@ -6,10 +6,10 @@
 //!
 //! 1. [`Session::build`] — run CLUSTER / CLUSTER2 / MPX on a graph and
 //!    optionally construct the §4 distance oracle, or
-//! 2. [`Session::save`] / [`Session::load`] — persist everything into a
-//!    `PDEC2` sectioned snapshot ([`pardec_graph::io`]) and reload it in time
-//!    proportional to the stored bytes, with no re-clustering and no
-//!    re-sorting;
+//! 2. [`Session::save`] / [`Session::load_checked`] — persist everything
+//!    into a `PDEC2` sectioned snapshot ([`pardec_graph::io`]) and reload
+//!    it, fully validated, in time linear in the stored bytes, with no
+//!    re-clustering and no re-sorting;
 //!
 //! then answer **batched queries**:
 //!
@@ -33,8 +33,9 @@
 //! | `CLUS` | 1 | `n u64, k u64, growth_steps u64, assignment n×u32, centers k×u32, dist_to_center n×u32, radii k×u32` |
 //! | `ORCL` | 1 | `q u64, apsp q²×u64` (row-major; per-node arrays are shared with `CLUS`) |
 //!
-//! All integers little-endian; all size arithmetic checked, so hostile
-//! section payloads error rather than panic or over-allocate.
+//! All integers little-endian. Both sections decode through the checked
+//! [`Reader`], so hostile payloads error rather than panic or
+//! over-allocate.
 
 use crate::cluster::{cluster, ClusterParams};
 use crate::cluster2::cluster2;
@@ -42,7 +43,7 @@ use crate::clustering::Clustering;
 use crate::diameter::{approximate_diameter_of_clustering, DiameterApprox, DiameterParams};
 use crate::mpx::mpx_with_frontier;
 use crate::oracle::DistanceOracle;
-use bytes::{Buf, BufMut};
+use pardec_graph::codec::{invalid_data, Reader};
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot};
 use pardec_graph::{Backend, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE};
@@ -472,164 +473,87 @@ impl Session {
         save_snapshot_repr(&self.graph, &sections, w)
     }
 
-    /// Loads a session snapshot through the **fast** graph path (structural
-    /// checks + bulk copy — the daemon-startup route; see
-    /// [`pardec_graph::io`]'s trust contract). Requires a `CLUS` section;
-    /// `ORCL` is optional.
-    pub fn load(bytes: &[u8], frontier: FrontierStrategy) -> io::Result<Session> {
-        Self::load_with(bytes, frontier, false)
-    }
-
-    /// Loads a snapshot of unknown origin: checked (builder) graph decode
-    /// plus a full [`Clustering::validate`] pass.
+    /// Loads a session snapshot, trusting none of it: the graph through
+    /// the validating [`Snapshot::graph`], then a full
+    /// [`Clustering::validate`] pass. Requires a `CLUS` section; `ORCL` is
+    /// optional.
     pub fn load_checked(bytes: &[u8], frontier: FrontierStrategy) -> io::Result<Session> {
-        Self::load_with(bytes, frontier, true)
-    }
-
-    fn load_with(bytes: &[u8], frontier: FrontierStrategy, checked: bool) -> io::Result<Session> {
-        let mut load_span =
-            pardec_obs::span!("snapshot.load", bytes = bytes.len(), checked = checked,);
+        let mut load_span = pardec_obs::span!("snapshot.load", bytes = bytes.len());
         let snap = Snapshot::parse(bytes)?;
-        let graph = if checked {
-            snap.graph_repr_checked()?
-        } else {
-            snap.graph_repr()?
-        };
-        let (clus_version, clus) = snap
-            .section(SECTION_CLUSTERING)
-            .ok_or_else(|| data_err("snapshot has no clustering section"))?;
-        if clus_version != SECTION_CLUSTERING_VERSION {
-            return Err(data_err(format!(
-                "unsupported clustering section version {clus_version}"
-            )));
-        }
+        let graph = snap.graph()?;
+        let clus = snap
+            .versioned(SECTION_CLUSTERING, SECTION_CLUSTERING_VERSION, "clustering")?
+            .ok_or_else(|| invalid_data("snapshot has no clustering section"))?;
         let (clustering, growth_steps) = decode_clustering(clus, graph.num_nodes())?;
-        if checked {
-            clustering.validate(&graph).map_err(data_err)?;
-        }
-        let oracle = match snap.section(SECTION_ORACLE) {
-            None => None,
-            Some((version, body)) => {
-                if version != SECTION_ORACLE_VERSION {
-                    return Err(data_err(format!(
-                        "unsupported oracle section version {version}"
-                    )));
-                }
-                Some(decode_oracle(body, &clustering)?)
-            }
-        };
+        clustering.validate(&graph).map_err(invalid_data)?;
+        let oracle = snap
+            .versioned(SECTION_ORACLE, SECTION_ORACLE_VERSION, "oracle")?
+            .map(|body| decode_oracle(body, &clustering))
+            .transpose()?;
         load_span.field("nodes", graph.num_nodes());
         load_span.field("oracle", oracle.is_some());
-        Session::from_parts(graph, clustering, oracle, frontier, growth_steps).map_err(data_err)
+        Session::from_parts(graph, clustering, oracle, frontier, growth_steps).map_err(invalid_data)
     }
-}
-
-fn data_err(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 fn encode_clustering(c: &Clustering, growth_steps: usize) -> Vec<u8> {
     let (n, k) = (c.assignment.len(), c.centers.len());
     let mut buf = Vec::with_capacity(24 + 4 * (2 * n + 2 * k));
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(k as u64);
-    buf.put_u64_le(growth_steps as u64);
-    for &a in &c.assignment {
-        buf.put_u32_le(a);
+    for x in [n, k, growth_steps] {
+        buf.extend_from_slice(&(x as u64).to_le_bytes());
     }
-    for &ctr in &c.centers {
-        buf.put_u32_le(ctr);
-    }
-    for &d in &c.dist_to_center {
-        buf.put_u32_le(d);
-    }
-    for &r in &c.radii {
-        buf.put_u32_le(r);
-    }
-    buf
-}
-
-fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering, usize)> {
-    let mut buf = body;
-    if buf.remaining() < 24 {
-        return Err(data_err("truncated clustering header"));
-    }
-    let n = buf.get_u64_le() as usize;
-    let k = buf.get_u64_le() as usize;
-    let growth_steps = buf.get_u64_le() as usize;
-    if n != graph_nodes {
-        return Err(data_err("clustering node count does not match graph"));
-    }
-    let expected = n
-        .checked_add(k)
-        .and_then(|t| t.checked_mul(2))
-        .and_then(|t| t.checked_mul(4))
-        .ok_or_else(|| data_err("clustering sizes overflow"))?;
-    if buf.remaining() != expected {
-        return Err(data_err("clustering length mismatch"));
-    }
-    let mut take = |len: usize| -> Vec<u32> { (0..len).map(|_| buf.get_u32_le()).collect() };
-    let assignment = take(n);
-    let centers = take(k);
-    let dist_to_center = take(n);
-    let radii = take(k);
-    // Cheap structural checks even on the fast path: everything in range,
-    // so queries can index fearlessly.
-    if assignment.iter().any(|&c| (c as usize) >= k) {
-        return Err(data_err("clustering assignment out of range"));
-    }
-    if centers.iter().any(|&ctr| (ctr as usize) >= n) {
-        return Err(data_err("clustering center out of range"));
-    }
-    Ok((
-        Clustering {
-            assignment,
-            centers,
-            dist_to_center,
-            radii,
-        },
-        growth_steps,
-    ))
-}
-
-fn encode_oracle(o: &DistanceOracle) -> Vec<u8> {
-    let q = o.num_clusters();
-    let mut buf = Vec::with_capacity(8 + 8 * q * q);
-    buf.put_u64_le(q as u64);
-    for row in o.apsp_matrix() {
-        for &d in row {
-            buf.put_u64_le(d);
+    for array in [&c.assignment, &c.centers, &c.dist_to_center, &c.radii] {
+        for &x in array {
+            buf.extend_from_slice(&x.to_le_bytes());
         }
     }
     buf
 }
 
+fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering, usize)> {
+    let mut r = Reader::new(body);
+    let (n, k, growth_steps) = (r.usize()?, r.usize()?, r.usize()?);
+    if n != graph_nodes {
+        return Err(invalid_data("clustering node count does not match graph"));
+    }
+    let clustering = Clustering {
+        assignment: r.u32s(n)?,
+        centers: r.u32s(k)?,
+        dist_to_center: r.u32s(n)?,
+        radii: r.u32s(k)?,
+    };
+    r.finish()?;
+    Ok((clustering, growth_steps))
+}
+
+fn encode_oracle(o: &DistanceOracle) -> Vec<u8> {
+    let q = o.num_clusters();
+    let mut buf = Vec::with_capacity(8 + 8 * q * q);
+    buf.extend_from_slice(&(q as u64).to_le_bytes());
+    for &d in o.apsp_matrix().iter().flatten() {
+        buf.extend_from_slice(&d.to_le_bytes());
+    }
+    buf
+}
+
 fn decode_oracle(body: &[u8], clustering: &Clustering) -> io::Result<DistanceOracle> {
-    let mut buf = body;
-    if buf.remaining() < 8 {
-        return Err(data_err("truncated oracle header"));
-    }
-    let q = buf.get_u64_le() as usize;
+    let mut r = Reader::new(body);
+    let q = r.usize()?;
     if q != clustering.num_clusters() {
-        return Err(data_err("oracle cluster count does not match clustering"));
+        return Err(invalid_data(
+            "oracle cluster count does not match clustering",
+        ));
     }
-    let expected = q
-        .checked_mul(q)
-        .and_then(|t| t.checked_mul(8))
-        .ok_or_else(|| data_err("oracle sizes overflow"))?;
-    if buf.remaining() != expected {
-        return Err(data_err("oracle length mismatch"));
-    }
-    let apsp: Vec<Vec<u64>> = (0..q)
-        .map(|_| (0..q).map(|_| buf.get_u64_le()).collect())
-        .collect();
+    // Row by row: each `u64s(q)` checks its bytes before allocating.
+    let apsp = (0..q).map(|_| r.u64s(q)).collect::<io::Result<Vec<_>>>()?;
+    r.finish()?;
     DistanceOracle::from_raw_parts(
         clustering.assignment.clone(),
         clustering.dist_to_center.clone(),
         clustering.radii.clone(),
         apsp,
     )
-    .map_err(data_err)
+    .map_err(invalid_data)
 }
 
 #[cfg(test)]
@@ -753,15 +677,11 @@ mod tests {
         let s = mesh_session(true);
         let mut buf = Vec::new();
         s.save(&mut buf).unwrap();
-        for loaded in [
-            Session::load(&buf, s.frontier()).unwrap(),
-            Session::load_checked(&buf, s.frontier()).unwrap(),
-        ] {
-            assert_eq!(loaded.graph(), s.graph());
-            assert_eq!(loaded.clustering(), s.clustering());
-            assert_eq!(loaded.oracle(), s.oracle());
-            assert_eq!(loaded.growth_steps(), s.growth_steps());
-        }
+        let loaded = Session::load_checked(&buf, s.frontier()).unwrap();
+        assert_eq!(loaded.graph(), s.graph());
+        assert_eq!(loaded.clustering(), s.clustering());
+        assert_eq!(loaded.oracle(), s.oracle());
+        assert_eq!(loaded.growth_steps(), s.growth_steps());
     }
 
     #[test]
@@ -769,7 +689,7 @@ mod tests {
         let s = mesh_session(false);
         let mut buf = Vec::new();
         s.save(&mut buf).unwrap();
-        let loaded = Session::load(&buf, s.frontier()).unwrap();
+        let loaded = Session::load_checked(&buf, s.frontier()).unwrap();
         assert!(loaded.oracle().is_none());
         assert_eq!(loaded.clustering(), s.clustering());
     }
@@ -782,7 +702,7 @@ mod tests {
         s.save(&mut buf).unwrap();
         for cut in 0..buf.len() {
             assert!(
-                Session::load(&buf[..cut], FrontierStrategy::TopDown).is_err(),
+                Session::load_checked(&buf[..cut], FrontierStrategy::TopDown).is_err(),
                 "prefix of {cut} bytes must not load"
             );
         }
@@ -813,7 +733,7 @@ mod tests {
             .offset;
         let mut bad = buf.clone();
         bad[clus_off..clus_off + 8].copy_from_slice(&999u64.to_le_bytes());
-        assert!(Session::load(&bad, FrontierStrategy::TopDown).is_err());
+        assert!(Session::load_checked(&bad, FrontierStrategy::TopDown).is_err());
     }
 
     #[test]
@@ -843,18 +763,14 @@ mod tests {
         let dc = comp.diameter(true, None);
         assert_eq!(dp.lower_bound, dc.lower_bound);
         assert_eq!(dp.estimate(), dc.estimate());
-        // Snapshots preserve the backend through both read paths.
+        // Snapshots preserve the backend.
         let mut buf = Vec::new();
         comp.save(&mut buf).unwrap();
-        for loaded in [
-            Session::load(&buf, comp.frontier()).unwrap(),
-            Session::load_checked(&buf, comp.frontier()).unwrap(),
-        ] {
-            assert_eq!(loaded.backend(), Backend::Compressed);
-            assert_eq!(loaded.graph(), comp.graph());
-            assert_eq!(loaded.clustering(), comp.clustering());
-            assert_eq!(loaded.oracle(), comp.oracle());
-        }
+        let loaded = Session::load_checked(&buf, comp.frontier()).unwrap();
+        assert_eq!(loaded.backend(), Backend::Compressed);
+        assert_eq!(loaded.graph(), comp.graph());
+        assert_eq!(loaded.clustering(), comp.clustering());
+        assert_eq!(loaded.oracle(), comp.oracle());
         // The compressed snapshot is smaller than the plain one.
         let mut plain_buf = Vec::new();
         plain.save(&mut plain_buf).unwrap();
@@ -881,7 +797,7 @@ mod tests {
             assert!(s.oracle().is_some());
             let mut buf = Vec::new();
             s.save(&mut buf).unwrap();
-            let loaded = Session::load(&buf, s.frontier()).unwrap();
+            let loaded = Session::load_checked(&buf, s.frontier()).unwrap();
             assert_eq!(loaded.clustering(), s.clustering());
         }
     }

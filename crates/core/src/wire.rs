@@ -27,11 +27,12 @@
 //! | `0x07` | `STATS` | — |
 //! | `0x08` | `RELOAD` | `path_len u32, path (UTF-8; empty = configured default)` |
 //!
-//! Batch counts are capped at [`MAX_BATCH`] per request **before** any
-//! allocation happens; larger declarations are refused with
-//! [`ERR_BATCH_TOO_LARGE`]. (The cap also keeps every success body under
-//! [`MAX_FRAME`], so the response writer's size invariant is unreachable
-//! from the network.)
+//! Every body decodes through the checked [`Reader`]: a short or overlong
+//! payload is [`ERR_MALFORMED`], never a panic. Batch counts are capped at
+//! [`MAX_BATCH`] per request **before** any allocation happens; larger
+//! declarations are refused with [`ERR_BATCH_TOO_LARGE`]. (The cap also
+//! keeps every success body under [`MAX_FRAME`], so the response writer's
+//! size invariant is unreachable from the network.)
 //!
 //! ## Responses
 //!
@@ -132,14 +133,15 @@
 //!   panicking request is answered with [`ERR_INTERNAL`] and only its own
 //!   connection is closed. The daemon keeps serving.
 //! - **Hot reload** — `OP_RELOAD` (gated by [`ServeConfig::allow_reload`])
-//!   loads a replacement PDEC2 snapshot through the validating
-//!   (`--checked`) loader into a fresh [`Session`] and swaps it behind an
-//!   `Arc`; in-flight requests finish on the epoch they started with, and
-//!   a corrupt replacement rolls back to the serving snapshot with
-//!   [`ERR_RELOAD_FAILED`] — never a crash, never a dropped connection.
+//!   loads a replacement PDEC2 snapshot through [`Session::load_checked`]
+//!   (the validating loader the daemon also starts with) into a fresh
+//!   [`Session`] and swaps it behind an `Arc`; in-flight requests finish on
+//!   the epoch they started with, and a corrupt replacement rolls back to
+//!   the serving snapshot with [`ERR_RELOAD_FAILED`] — never a crash, never
+//!   a dropped connection.
 
 use crate::session::{QueryLedger, Session, SessionError};
-use bytes::{Buf, BufMut};
+use pardec_graph::codec::{invalid_data, Reader};
 use pardec_graph::frontier::FrontierStrategy;
 use pardec_graph::NodeId;
 use pardec_obs::{AtomicLog2Histogram, Log2Histogram, BUCKETS};
@@ -281,7 +283,7 @@ pub fn strategy_to_byte(s: FrontierStrategy) -> u8 {
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     assert!(body.len() <= MAX_FRAME as usize, "frame body too large");
     let mut buf = Vec::with_capacity(4 + body.len());
-    buf.put_u32_le(body.len() as u32);
+    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
     buf.extend_from_slice(body);
     w.write_all(&buf)
 }
@@ -313,35 +315,28 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 /// Encodes a request into a frame body (no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.put_u8(req.opcode());
+    let mut buf = vec![req.opcode()];
+    let mut put = |x: u32| buf.extend_from_slice(&x.to_le_bytes());
     match req {
         Request::Info | Request::Shutdown | Request::Stats => {}
         Request::Distance(pairs) => {
-            buf.put_u32_le(pairs.len() as u32);
+            put(pairs.len() as u32);
             for &(u, v) in pairs {
-                buf.put_u32_le(u);
-                buf.put_u32_le(v);
+                put(u);
+                put(v);
             }
         }
         Request::ClusterOf(nodes) | Request::Eccentricity(nodes) => {
-            buf.put_u32_le(nodes.len() as u32);
-            for &v in nodes {
-                buf.put_u32_le(v);
-            }
+            put(nodes.len() as u32);
+            nodes.iter().for_each(|&v| put(v));
         }
         Request::Nearest { sources, probes } => {
-            buf.put_u32_le(sources.len() as u32);
-            buf.put_u32_le(probes.len() as u32);
-            for &s in sources {
-                buf.put_u32_le(s);
-            }
-            for &p in probes {
-                buf.put_u32_le(p);
-            }
+            put(sources.len() as u32);
+            put(probes.len() as u32);
+            sources.iter().chain(probes).for_each(|&v| put(v));
         }
         Request::Reload { path } => {
-            buf.put_u32_le(path.len() as u32);
+            put(path.len() as u32);
             buf.extend_from_slice(path.as_bytes());
         }
     }
@@ -367,35 +362,6 @@ fn malformed(opcode: u8, msg: impl Into<String>) -> WireError {
     }
 }
 
-fn expect_len(buf: &[u8], want: usize, what: &str, opcode: u8) -> Result<(), WireError> {
-    if buf.remaining() == want {
-        Ok(())
-    } else {
-        Err(malformed(opcode, format!("{what}: length mismatch")))
-    }
-}
-
-/// Reads `count` node ids (the caller has already validated sizing).
-fn take_nodes(buf: &mut &[u8], count: usize) -> Vec<NodeId> {
-    (0..count).map(|_| buf.get_u32_le()).collect()
-}
-
-fn batch_too_large(opcode: u8, count: usize, cap: u32) -> WireError {
-    WireError {
-        code: ERR_BATCH_TOO_LARGE,
-        message: format!("batch of {count} exceeds the {cap}-query cap"),
-        opcode,
-    }
-}
-
-fn check_batch(opcode: u8, count: usize, cap: u32) -> Result<(), WireError> {
-    if count > cap as usize {
-        Err(batch_too_large(opcode, count, cap))
-    } else {
-        Ok(())
-    }
-}
-
 /// Decodes a request frame body with the default [`MAX_BATCH`] cap.
 pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
     decode_request_limited(body, MAX_BATCH)
@@ -406,87 +372,69 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
 /// both the cap and the actual payload length, so a hostile 4-byte frame
 /// claiming a billion queries costs nothing.
 pub fn decode_request_limited(body: &[u8], max_batch: u32) -> Result<Request, WireError> {
-    let mut buf = body;
-    if buf.is_empty() {
-        return Err(malformed(0, "empty request"));
-    }
-    let opcode = buf.get_u8();
-    match opcode {
-        OP_INFO => {
-            expect_len(buf, 0, "INFO", opcode)?;
-            Ok(Request::Info)
+    let mut r = Reader::new(body);
+    let opcode = r.u8().map_err(|_| malformed(0, "empty request"))?;
+    let bad = move |e: io::Error| malformed(opcode, format!("opcode {opcode:#04x}: {e}"));
+    let cap = |count: u32| -> Result<usize, WireError> {
+        if count > max_batch {
+            return Err(WireError {
+                code: ERR_BATCH_TOO_LARGE,
+                message: format!("batch of {count} exceeds the {max_batch}-query cap"),
+                opcode,
+            });
         }
-        OP_SHUTDOWN => {
-            expect_len(buf, 0, "SHUTDOWN", opcode)?;
-            Ok(Request::Shutdown)
-        }
-        OP_STATS => {
-            expect_len(buf, 0, "STATS", opcode)?;
-            Ok(Request::Stats)
-        }
+        Ok(count as usize)
+    };
+    let req = match opcode {
+        OP_INFO => Request::Info,
+        OP_SHUTDOWN => Request::Shutdown,
+        OP_STATS => Request::Stats,
         OP_DIST => {
-            if buf.remaining() < 4 {
-                return Err(malformed(opcode, "DIST: missing count"));
-            }
-            let count = buf.get_u32_le() as usize;
-            check_batch(opcode, count, max_batch)?;
-            expect_len(buf, count * 8, "DIST", opcode)?;
-            let pairs = (0..count)
-                .map(|_| (buf.get_u32_le(), buf.get_u32_le()))
-                .collect();
-            Ok(Request::Distance(pairs))
+            let count = cap(r.u32().map_err(bad)?)?;
+            let pairs = r.items(count, |b: [u8; 8]| {
+                let x = u64::from_le_bytes(b);
+                (x as NodeId, (x >> 32) as NodeId)
+            });
+            Request::Distance(pairs.map_err(bad)?)
         }
         OP_CLUSTER_OF | OP_ECC => {
-            if buf.remaining() < 4 {
-                return Err(malformed(opcode, "missing count"));
-            }
-            let count = buf.get_u32_le() as usize;
-            check_batch(opcode, count, max_batch)?;
-            expect_len(buf, count * 4, "node batch", opcode)?;
-            let nodes = take_nodes(&mut buf, count);
-            Ok(if opcode == OP_CLUSTER_OF {
+            let count = cap(r.u32().map_err(bad)?)?;
+            let nodes = r.u32s(count).map_err(bad)?;
+            if opcode == OP_CLUSTER_OF {
                 Request::ClusterOf(nodes)
             } else {
                 Request::Eccentricity(nodes)
-            })
+            }
         }
         OP_NEAREST => {
-            if buf.remaining() < 8 {
-                return Err(malformed(opcode, "NEAREST: missing counts"));
+            let (n_sources, n_probes) = (r.u32().map_err(bad)?, r.u32().map_err(bad)?);
+            let (n_sources, n_probes) = (cap(n_sources)?, cap(n_probes)?);
+            Request::Nearest {
+                sources: r.u32s(n_sources).map_err(bad)?,
+                probes: r.u32s(n_probes).map_err(bad)?,
             }
-            let n_sources = buf.get_u32_le() as usize;
-            let n_probes = buf.get_u32_le() as usize;
-            check_batch(opcode, n_sources, max_batch)?;
-            check_batch(opcode, n_probes, max_batch)?;
-            let want = n_sources
-                .checked_add(n_probes)
-                .and_then(|t| t.checked_mul(4))
-                .ok_or_else(|| malformed(opcode, "NEAREST: counts overflow"))?;
-            expect_len(buf, want, "NEAREST", opcode)?;
-            let sources = take_nodes(&mut buf, n_sources);
-            let probes = take_nodes(&mut buf, n_probes);
-            Ok(Request::Nearest { sources, probes })
         }
         OP_RELOAD => {
-            if buf.remaining() < 4 {
-                return Err(malformed(opcode, "RELOAD: missing path length"));
-            }
-            let path_len = buf.get_u32_le();
+            let path_len = r.u32().map_err(bad)?;
             if path_len > MAX_RELOAD_PATH {
                 return Err(malformed(opcode, "RELOAD: path too long"));
             }
-            expect_len(buf, path_len as usize, "RELOAD", opcode)?;
-            let path = std::str::from_utf8(buf)
-                .map_err(|_| malformed(opcode, "RELOAD: path is not UTF-8"))?
-                .to_owned();
-            Ok(Request::Reload { path })
+            let path = std::str::from_utf8(r.bytes(path_len as usize).map_err(bad)?)
+                .map_err(|_| malformed(opcode, "RELOAD: path is not UTF-8"))?;
+            Request::Reload {
+                path: path.to_owned(),
+            }
         }
-        other => Err(WireError {
-            code: ERR_UNKNOWN_OPCODE,
-            message: format!("unknown opcode {other:#04x}"),
-            opcode: other,
-        }),
-    }
+        other => {
+            return Err(WireError {
+                code: ERR_UNKNOWN_OPCODE,
+                message: format!("unknown opcode {other:#04x}"),
+                opcode: other,
+            })
+        }
+    };
+    r.finish().map_err(bad)?;
+    Ok(req)
 }
 
 // ---------------------------------------------------------------------
@@ -494,44 +442,35 @@ pub fn decode_request_limited(body: &[u8], max_batch: u32) -> Result<Request, Wi
 // ---------------------------------------------------------------------
 
 fn response_frame(status: u8, opcode: u8, ledger: Option<QueryLedger>, body: &[u8]) -> Vec<u8> {
+    let (batch, waves, rounds, strategy) = ledger.map_or((0, 0, 0, 0), |l| {
+        (
+            l.batch,
+            l.waves,
+            l.wave_rounds,
+            strategy_to_byte(l.strategy),
+        )
+    });
     let mut buf = Vec::with_capacity(15 + body.len());
-    buf.put_u8(status);
-    buf.put_u8(opcode);
-    match ledger {
-        Some(l) => {
-            buf.put_u32_le(l.batch);
-            buf.put_u32_le(l.waves);
-            buf.put_u32_le(l.wave_rounds);
-            buf.put_u8(strategy_to_byte(l.strategy));
-        }
-        None => {
-            buf.put_u32_le(0);
-            buf.put_u32_le(0);
-            buf.put_u32_le(0);
-            buf.put_u8(0);
-        }
+    buf.extend_from_slice(&[status, opcode]);
+    for x in [batch, waves, rounds] {
+        buf.extend_from_slice(&x.to_le_bytes());
     }
+    buf.push(strategy);
     buf.extend_from_slice(body);
     buf
 }
 
 /// Decodes a response frame body (client side).
 pub fn decode_response(body: &[u8]) -> io::Result<Response> {
-    let mut buf = body;
-    if buf.remaining() < 15 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "response shorter than its fixed header",
-        ));
-    }
+    let mut r = Reader::new(body);
     Ok(Response {
-        status: buf.get_u8(),
-        opcode: buf.get_u8(),
-        batch: buf.get_u32_le(),
-        waves: buf.get_u32_le(),
-        wave_rounds: buf.get_u32_le(),
-        strategy: buf.get_u8(),
-        body: buf.to_vec(),
+        status: r.u8()?,
+        opcode: r.u8()?,
+        batch: r.u32()?,
+        waves: r.u32()?,
+        wave_rounds: r.u32()?,
+        strategy: r.u8()?,
+        body: r.rest().to_vec(),
     })
 }
 
@@ -550,13 +489,18 @@ pub fn execute(session: &Session, req: &Request) -> Vec<u8> {
     let opcode = req.opcode();
     match req {
         Request::Info => {
+            let (graph, clustering) = (session.graph(), session.clustering());
             let mut body = Vec::with_capacity(8 * 4 + 5);
-            body.put_u64_le(session.graph().num_nodes() as u64);
-            body.put_u64_le(session.graph().num_edges() as u64);
-            body.put_u64_le(session.clustering().num_clusters() as u64);
-            body.put_u32_le(session.clustering().max_radius());
-            body.put_u8(session.oracle().is_some() as u8);
-            body.put_u64_le(session.growth_steps() as u64);
+            for x in [
+                graph.num_nodes(),
+                graph.num_edges(),
+                clustering.num_clusters(),
+            ] {
+                body.extend_from_slice(&(x as u64).to_le_bytes());
+            }
+            body.extend_from_slice(&clustering.max_radius().to_le_bytes());
+            body.push(session.oracle().is_some() as u8);
+            body.extend_from_slice(&(session.growth_steps() as u64).to_le_bytes());
             let ledger = QueryLedger {
                 batch: 0,
                 waves: 0,
@@ -596,7 +540,7 @@ pub fn execute(session: &Session, req: &Request) -> Vec<u8> {
             Ok((dists, ledger)) => {
                 let mut body = Vec::with_capacity(dists.len() * 8);
                 for d in dists {
-                    body.put_u64_le(d);
+                    body.extend_from_slice(&d.to_le_bytes());
                 }
                 response_frame(0, opcode, Some(ledger), &body)
             }
@@ -606,7 +550,7 @@ pub fn execute(session: &Session, req: &Request) -> Vec<u8> {
             Ok((clusters, ledger)) => {
                 let mut body = Vec::with_capacity(clusters.len() * 4);
                 for c in clusters {
-                    body.put_u32_le(c);
+                    body.extend_from_slice(&c.to_le_bytes());
                 }
                 response_frame(0, opcode, Some(ledger), &body)
             }
@@ -616,7 +560,7 @@ pub fn execute(session: &Session, req: &Request) -> Vec<u8> {
             Ok((bounds, ledger)) => {
                 let mut body = Vec::with_capacity(bounds.len() * 8);
                 for b in bounds {
-                    body.put_u64_le(b);
+                    body.extend_from_slice(&b.to_le_bytes());
                 }
                 response_frame(0, opcode, Some(ledger), &body)
             }
@@ -626,8 +570,8 @@ pub fn execute(session: &Session, req: &Request) -> Vec<u8> {
             Ok((answers, ledger)) => {
                 let mut body = Vec::with_capacity(answers.len() * 8);
                 for (src, dist) in answers {
-                    body.put_u32_le(src);
-                    body.put_u32_le(dist);
+                    body.extend_from_slice(&src.to_le_bytes());
+                    body.extend_from_slice(&dist.to_le_bytes());
                 }
                 response_frame(0, opcode, Some(ledger), &body)
             }
@@ -845,26 +789,30 @@ pub const STATS_HEADER: usize = 89;
 /// Encodes a stats snapshot into a `STATS` response body.
 pub fn encode_stats_body(s: &StatsSnapshot) -> Vec<u8> {
     let mut buf = Vec::with_capacity(STATS_HEADER + s.per_op.len() * (26 + BUCKETS * 8));
-    buf.put_u64_le(s.uptime_us);
-    buf.put_u64_le(s.total_requests);
-    buf.put_u64_le(s.errors);
-    buf.put_u64_le(s.bytes_in);
-    buf.put_u64_le(s.bytes_out);
-    buf.put_u64_le(s.epoch);
-    buf.put_u64_le(s.timeouts);
-    buf.put_u64_le(s.shed);
-    buf.put_u64_le(s.panics_caught);
-    buf.put_u64_le(s.reloads_ok);
-    buf.put_u64_le(s.reloads_rolled_back);
-    buf.put_u8(s.per_op.len() as u8);
+    for x in [
+        s.uptime_us,
+        s.total_requests,
+        s.errors,
+        s.bytes_in,
+        s.bytes_out,
+        s.epoch,
+        s.timeouts,
+        s.shed,
+        s.panics_caught,
+        s.reloads_ok,
+        s.reloads_rolled_back,
+    ] {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+    buf.push(s.per_op.len() as u8);
     for op in &s.per_op {
-        buf.put_u8(op.opcode);
-        buf.put_u64_le(op.count);
-        buf.put_u64_le(op.latency.count());
-        buf.put_u64_le(op.latency.sum());
-        buf.put_u8(BUCKETS as u8);
+        buf.push(op.opcode);
+        for x in [op.count, op.latency.count(), op.latency.sum()] {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        buf.push(BUCKETS as u8);
         for &c in op.latency.counts() {
-            buf.put_u64_le(c);
+            buf.extend_from_slice(&c.to_le_bytes());
         }
     }
     buf
@@ -872,59 +820,38 @@ pub fn encode_stats_body(s: &StatsSnapshot) -> Vec<u8> {
 
 /// Decodes a `STATS` response body (client side).
 pub fn decode_stats_body(body: &[u8]) -> io::Result<StatsSnapshot> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("STATS body: {msg}"));
-    let mut buf = body;
-    if buf.remaining() < STATS_HEADER {
-        return Err(bad("shorter than its fixed header"));
-    }
-    let uptime_us = buf.get_u64_le();
-    let total_requests = buf.get_u64_le();
-    let errors = buf.get_u64_le();
-    let bytes_in = buf.get_u64_le();
-    let bytes_out = buf.get_u64_le();
-    let epoch = buf.get_u64_le();
-    let timeouts = buf.get_u64_le();
-    let shed = buf.get_u64_le();
-    let panics_caught = buf.get_u64_le();
-    let reloads_ok = buf.get_u64_le();
-    let reloads_rolled_back = buf.get_u64_le();
-    let n_ops = buf.get_u8() as usize;
-    if buf.remaining() != n_ops * (26 + BUCKETS * 8) {
-        return Err(bad("op table length mismatch"));
-    }
-    let mut per_op = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        let opcode = buf.get_u8();
-        let count = buf.get_u64_le();
-        let hist_count = buf.get_u64_le();
-        let hist_sum = buf.get_u64_le();
-        if buf.get_u8() as usize != BUCKETS {
-            return Err(bad("unexpected bucket count"));
+    let mut r = Reader::new(body);
+    let mut s = StatsSnapshot {
+        uptime_us: r.u64()?,
+        total_requests: r.u64()?,
+        errors: r.u64()?,
+        bytes_in: r.u64()?,
+        bytes_out: r.u64()?,
+        epoch: r.u64()?,
+        timeouts: r.u64()?,
+        shed: r.u64()?,
+        panics_caught: r.u64()?,
+        reloads_ok: r.u64()?,
+        reloads_rolled_back: r.u64()?,
+        per_op: Vec::new(),
+    };
+    for _ in 0..r.u8()? {
+        let (opcode, count, hist_count, hist_sum) = (r.u8()?, r.u64()?, r.u64()?, r.u64()?);
+        if r.u8()? as usize != BUCKETS {
+            return Err(invalid_data("STATS body: unexpected bucket count"));
         }
         let mut counts = [0u64; BUCKETS];
-        for c in counts.iter_mut() {
-            *c = buf.get_u64_le();
+        for c in &mut counts {
+            *c = r.u64()?;
         }
-        per_op.push(OpStats {
+        s.per_op.push(OpStats {
             opcode,
             count,
             latency: Log2Histogram::from_parts(counts, hist_count, hist_sum),
         });
     }
-    Ok(StatsSnapshot {
-        uptime_us,
-        total_requests,
-        errors,
-        bytes_in,
-        bytes_out,
-        epoch,
-        timeouts,
-        shed,
-        panics_caught,
-        reloads_ok,
-        reloads_rolled_back,
-        per_op,
-    })
+    r.finish()?;
+    Ok(s)
 }
 
 /// Builds the full `STATS` response frame (status 0, zero ledger).
@@ -1205,8 +1132,7 @@ fn error_response(code: u8, opcode: u8, msg: &str) -> Vec<u8> {
 }
 
 fn overload_response(opcode: u8, retry_after_ms: u32) -> Vec<u8> {
-    let mut body = Vec::with_capacity(44);
-    body.put_u32_le(retry_after_ms);
+    let mut body = retry_after_ms.to_le_bytes().to_vec();
     body.extend_from_slice(b"overloaded; retry after the hinted delay");
     response_frame(ERR_OVERLOADED, opcode, None, &body)
 }
@@ -1256,11 +1182,7 @@ fn handle_reload(state: &ServerState, path: &str) -> Vec<u8> {
         );
     }
     match reload_session(state, path) {
-        Ok(epoch) => {
-            let mut body = Vec::with_capacity(8);
-            body.put_u64_le(epoch);
-            response_frame(0, OP_RELOAD, None, &body)
-        }
+        Ok(epoch) => response_frame(0, OP_RELOAD, None, &epoch.to_le_bytes()),
         Err(msg) => error_response(ERR_RELOAD_FAILED, OP_RELOAD, &msg),
     }
 }
@@ -1684,6 +1606,29 @@ mod tests {
             encode_request(&Request::Reload { path: "ab".into() }),
             [0x08, 2, 0, 0, 0, b'a', b'b']
         );
+    }
+
+    #[test]
+    fn every_truncated_or_padded_request_is_malformed() {
+        for req in [
+            Request::Info,
+            Request::Distance(vec![(0, 1), (1, 0)]),
+            Request::Eccentricity(vec![1]),
+            Request::Nearest {
+                sources: vec![0],
+                probes: vec![1, 0],
+            },
+            Request::Reload { path: "ab".into() },
+        ] {
+            let body = encode_request(&req);
+            for cut in 0..body.len() {
+                let err = decode_request(&body[..cut]).unwrap_err();
+                assert_eq!(err.code, ERR_MALFORMED, "{req:?} cut at {cut}");
+            }
+            let mut padded = body;
+            padded.push(0);
+            assert_eq!(decode_request(&padded).unwrap_err().code, ERR_MALFORMED);
+        }
     }
 
     #[test]

@@ -156,14 +156,18 @@ impl CcsrGraph {
         b.finish()
     }
 
-    /// Decompresses back into plain CSR (the exact graph that was encoded).
+    /// Decompresses back into plain CSR (the exact graph that was encoded)
+    /// in one sequential pass over the records.
     pub fn to_csr(&self) -> CsrGraph {
         let n = self.num_nodes;
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(self.num_arcs);
         offsets.push(0usize);
+        let mut pos = 0;
         for u in 0..n as NodeId {
-            targets.extend(self.neighbors_iter(u));
+            let mut nbrs = record(&self.data, u, pos);
+            targets.extend(&mut nbrs);
+            pos = nbrs.pos;
             offsets.push(targets.len());
         }
         CsrGraph::from_parts(offsets, targets)
@@ -211,16 +215,7 @@ impl CcsrGraph {
     /// Sorted neighbors of `u`, decoded on the fly.
     #[inline]
     pub fn neighbors_iter(&self, u: NodeId) -> Neighbors<'_> {
-        let mut pos = self.locate(u);
-        let deg = read_varint(&self.data, &mut pos) as usize;
-        Neighbors {
-            data: &self.data,
-            pos,
-            remaining: deg,
-            prev: 0,
-            vertex: u,
-            first: true,
-        }
+        record(&self.data, u, self.locate(u))
     }
 
     /// Resident bytes of the representation (adjacency data + block index).
@@ -261,11 +256,10 @@ impl CcsrGraph {
 
     /// Fully validates untrusted codec output: every varint in bounds,
     /// record lengths consistent, block index exact, lists strictly
-    /// ascending, targets in range, no self-loops, arc total matching, and
-    /// the buffer consumed exactly. O(n + m); symmetry is *not* checked
-    /// here (it is quadratic-ish on this layout) — the checked snapshot
-    /// loader decompresses and runs the full
-    /// [`CsrGraph::check_invariants`] on top.
+    /// ascending, targets in range, no self-loops, arc total matching, the
+    /// buffer consumed exactly, and the adjacency symmetric — the checks of
+    /// [`CsrGraph::check_invariants`], made on the records without
+    /// decompressing them. O(n + m).
     pub fn validate_parts(
         num_nodes: usize,
         num_arcs: usize,
@@ -280,6 +274,16 @@ impl CcsrGraph {
             ));
         }
         let mut pos = 0usize;
+        // Symmetry is checked as in `CsrGraph::check_invariants`, with one
+        // merge cursor per node. A cursor holds its node's next unmatched
+        // target, how many are left, and the byte position of the gap
+        // after it; the list grows one validated record at a time.
+        struct Cursor {
+            next: NodeId,
+            left: u32,
+            pos: usize,
+        }
+        let mut cursors = Vec::new();
         let mut arcs = 0usize;
         for u in 0..num_nodes {
             if u % BLOCK == 0 && index[u / BLOCK] as usize != pos {
@@ -287,6 +291,11 @@ impl CcsrGraph {
             }
             let deg =
                 try_read_varint(data, &mut pos).ok_or_else(|| "truncated degree".to_string())?;
+            let mut cursor = Cursor {
+                next: 0,
+                left: 0,
+                pos,
+            };
             let mut prev: i64 = -1;
             for i in 0..deg {
                 let raw = try_read_varint(data, &mut pos)
@@ -306,8 +315,17 @@ impl CcsrGraph {
                 if v <= prev {
                     return Err(format!("adjacency of {u} not strictly sorted"));
                 }
+                if i == 0 {
+                    // Both fit once the record validates: `deg` < n, `v` < n.
+                    cursor = Cursor {
+                        next: v as NodeId,
+                        left: deg as u32,
+                        pos,
+                    };
+                }
                 prev = v;
             }
+            cursors.push(cursor);
             arcs += deg as usize;
         }
         if pos != data.len() {
@@ -316,7 +334,44 @@ impl CcsrGraph {
         if arcs != num_arcs {
             return Err(format!("arc count {arcs} disagrees with header {num_arcs}"));
         }
+        // The records are valid by now, so the trusting readers cannot run
+        // off the data.
+        let (mut pos, mut up) = (0, 0usize);
+        for u in 0..num_nodes as NodeId {
+            let mut nbrs = record(data, u, pos);
+            for v in nbrs.by_ref().filter(|&v| v > u) {
+                up += 1;
+                let c = &mut cursors[v as usize];
+                if c.left == 0 || c.next != u {
+                    return Err(format!("asymmetric adjacency at arc ({u}, {v})"));
+                }
+                c.left -= 1;
+                if c.left > 0 {
+                    c.next = (c.next as u64 + 1 + read_varint(data, &mut c.pos)) as NodeId;
+                }
+            }
+            pos = nbrs.pos;
+        }
+        if 2 * up != num_arcs {
+            return Err(format!(
+                "asymmetric adjacency: {up} of {num_arcs} arcs point up"
+            ));
+        }
         Ok(())
+    }
+}
+
+/// The neighbors of `u`, whose record starts at byte `pos` of `data`.
+#[inline]
+fn record(data: &[u8], u: NodeId, mut pos: usize) -> Neighbors<'_> {
+    let deg = read_varint(data, &mut pos) as usize;
+    Neighbors {
+        data,
+        pos,
+        remaining: deg,
+        prev: 0,
+        vertex: u,
+        first: true,
     }
 }
 
@@ -730,13 +785,36 @@ mod tests {
             let mut mutated = data.clone();
             mutated[i] ^= 0x01;
             if CcsrGraph::validate_parts(n, arcs, &mutated, &index).is_ok() {
-                // Structurally valid after the flip (e.g. now asymmetric):
-                // the decoded lists must at least differ from the original.
+                // Valid after the flip: the decoded lists must at least
+                // differ from the original.
                 let m = CcsrGraph::from_raw_parts(n, arcs, mutated, index.clone());
                 let same = (0..n as NodeId)
                     .all(|u| m.neighbors_iter(u).collect::<Vec<_>>() == g.neighbors(u));
                 assert!(!same, "byte flip at {i} decoded identically");
             }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_asymmetry() {
+        // An arc with no reverse at all, pointing up or down, one (2 → 0)
+        // whose reverse is missing from an otherwise mirrored list, and two
+        // upward arcs with swapped reverses (0 → 2 → 1 → 3 → 0), where
+        // every node has as many arcs in as out and half the arcs point up.
+        for lists in [
+            vec![vec![1], vec![]],
+            vec![vec![1], vec![0, 2], vec![0, 1]],
+            vec![vec![2], vec![3], vec![1], vec![0]],
+            vec![vec![], vec![0]],
+        ] {
+            let mut b = CcsrBuilder::new(lists.len());
+            for l in &lists {
+                b.push_vertex(l.iter().copied());
+            }
+            let c = b.finish();
+            let err =
+                CcsrGraph::validate_parts(c.num_nodes(), c.num_arcs(), c.raw_data(), c.raw_index());
+            assert!(err.unwrap_err().contains("asymmetric"), "{lists:?}");
         }
     }
 

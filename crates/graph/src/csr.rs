@@ -123,42 +123,76 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Verifies the structural invariants of the representation. Returns a
-    /// description of the first violation found, if any. Used by debug
-    /// assertions and by property tests.
+    /// Verifies the structural invariants of the representation: offsets
+    /// start at 0, never decrease and end at the arc count; every adjacency
+    /// list is strictly sorted, in range and loop-free; every arc has its
+    /// reverse. Returns a description of the first violation found, if any.
+    /// Total on arbitrary arrays, so it is also the gate the snapshot
+    /// decoder runs on untrusted CSR arrays. O(n + m).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.num_nodes();
-        if self.offsets[0] != 0 {
+        let (offsets, targets) = (&self.offsets, &self.targets);
+        if offsets.first() != Some(&0) {
             return Err("offsets must start at 0".into());
         }
-        for u in 0..n {
-            if self.offsets[u] > self.offsets[u + 1] {
-                return Err(format!("offsets not monotone at node {u}"));
-            }
-            let adj = &self.targets[self.offsets[u]..self.offsets[u + 1]];
-            for w in adj.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("adjacency of {u} not strictly sorted"));
-                }
-            }
-            for &v in adj {
+        if offsets.last() != Some(&targets.len()) {
+            return Err(format!(
+                "offsets must end at the arc count {}",
+                targets.len()
+            ));
+        }
+        if let Some(u) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets not monotone at node {u}"));
+        }
+        let n = self.num_nodes();
+        for u in 0..n as NodeId {
+            let mut prev = None;
+            for &v in self.neighbors(u) {
                 if v as usize >= n {
                     return Err(format!("edge target {v} out of range (n = {n})"));
                 }
-                if v as usize == u {
+                if v == u {
                     return Err(format!("self-loop at {u}"));
                 }
+                if prev >= Some(v) {
+                    return Err(format!("adjacency of {u} not strictly sorted"));
+                }
+                prev = Some(v);
             }
         }
-        // Symmetry: every arc has its reverse.
+        // Symmetry with one merge cursor per node: scanning sources in
+        // ascending order meets the arcs up into `v` in the order of `v`'s
+        // own sorted list, so arc `(u, v)`, `u < v`, must find `u` under
+        // `v`'s cursor. Every check passing maps each upward arc to a
+        // distinct downward reverse; if half the arcs point up, that covers
+        // every downward arc too.
+        let mut cursor = offsets[..n].to_vec();
+        let mut up = 0;
         for u in 0..n as NodeId {
-            for &v in self.neighbors(u) {
-                if !self.has_edge(v, u) {
-                    return Err(format!("missing reverse arc for ({u}, {v})"));
+            for &v in self.neighbors(u).iter().rev().take_while(|&&v| v > u) {
+                up += 1;
+                let c = &mut cursor[v as usize];
+                if *c == offsets[v as usize + 1] || targets[*c] != u {
+                    return Err(format!("asymmetric adjacency at arc ({u}, {v})"));
                 }
+                *c += 1;
             }
+        }
+        if 2 * up != targets.len() {
+            let m = targets.len();
+            return Err(format!("asymmetric adjacency: {up} of {m} arcs point up"));
         }
         Ok(())
+    }
+
+    /// Builds a graph from untrusted CSR arrays, accepting them only if
+    /// they pass [`Self::check_invariants`].
+    pub(crate) fn try_from_parts(
+        offsets: Vec<usize>,
+        targets: Vec<NodeId>,
+    ) -> Result<Self, String> {
+        let g = CsrGraph { offsets, targets };
+        g.check_invariants()?;
+        Ok(g)
     }
 }
 
@@ -216,11 +250,36 @@ mod tests {
 
     #[test]
     fn invariant_checker_catches_asymmetry() {
-        let g = CsrGraph {
-            offsets: vec![0, 1, 1],
-            targets: vec![1],
-        };
-        assert!(g.check_invariants().is_err());
+        // An arc with no reverse at all, pointing up or down, one (2 → 0)
+        // whose reverse is missing from an otherwise mirrored list, and two
+        // upward arcs with swapped reverses (0 → 2 → 1 → 3 → 0), where
+        // every node has as many arcs in as out and half the arcs point up.
+        for (offsets, targets) in [
+            (vec![0, 1, 1], vec![1]),
+            (vec![0, 0, 1], vec![0]),
+            (vec![0, 1, 3, 5], vec![1, 0, 2, 0, 1]),
+            (vec![0, 1, 2, 3, 4], vec![2, 3, 1, 0]),
+        ] {
+            assert!(CsrGraph { offsets, targets }.check_invariants().is_err());
+        }
+    }
+
+    #[test]
+    fn try_from_parts_rejects_malformed_offsets_without_panicking() {
+        for (offsets, targets) in [
+            (vec![], vec![]),
+            (vec![1, 1], vec![0]),
+            (vec![0, 2, 1], vec![1]),
+            (vec![0, 5], vec![]),
+            (vec![0, 1, 2], vec![7, 0]),
+        ] {
+            assert!(CsrGraph::try_from_parts(offsets, targets).is_err());
+        }
+        let g = GraphBuilder::new(4)
+            .add_edges([(0, 1), (1, 3), (2, 3)])
+            .build();
+        let again = CsrGraph::try_from_parts(g.raw_offsets().to_vec(), g.raw_targets().to_vec());
+        assert_eq!(again.unwrap(), g);
     }
 
     #[test]

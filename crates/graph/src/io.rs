@@ -38,26 +38,24 @@
 //! readers skip what they do not understand, new readers fall back to
 //! recomputing sections that are absent.
 //!
-//! Two graph read paths exist:
-//! * [`Snapshot::graph`] — the **fast path**: header/offset structural
-//!   checks plus a bulk arc-range check, then a straight copy into the CSR
-//!   arrays. No per-edge re-sort, dedup, or builder pass — startup cost is
-//!   a memcpy, which is what a resident daemon wants. It trusts deeper CSR
-//!   invariants (sorted adjacency, symmetry) to the writer; snapshots this
-//!   module wrote satisfy them by construction.
-//! * [`Snapshot::graph_checked`] — the **fallback path** for foreign or
-//!   suspect files: every edge is re-run through [`GraphBuilder`], so no
-//!   payload can violate a CSR invariant.
+//! There is one graph read path, [`Snapshot::graph`], and it trusts
+//! nothing: every snapshot is treated as untrusted input. A plain section
+//! is bulk-copied into the CSR arrays and then run through the full
+//! [`CsrGraph::check_invariants`] pass (offsets, targets in range, strictly
+//! sorted, loop-free, symmetric). A compressed section gets the same checks
+//! on its records, without being decompressed. No per-edge builder pass runs,
+//! so startup costs a copy plus one linear scan, and no payload can break
+//! a CSR invariant.
 //!
-//! All size arithmetic on both paths is checked: hostile headers produce
-//! an [`io::Error`], never an overflow panic, and truncating a snapshot at
-//! any byte yields an error (asserted exhaustively by the tests here and
-//! property-tested in `tests/proptests_session.rs`).
+//! Every decoder reads through the checked [`Reader`]: hostile headers
+//! produce an [`io::Error`], never an overflow panic or a huge allocation,
+//! and truncating a snapshot at any byte yields an error (asserted
+//! exhaustively by the tests here and mutation-fuzzed in
+//! `tests/proptests_session.rs`).
 
 use crate::ccsr::BLOCK;
+use crate::codec::{invalid_data, Reader};
 use crate::{Backend, CcsrGraph, CsrGraph, GraphBuilder, GraphRepr, NodeId, WeightedGraph};
-use bytes::{Buf, BufMut};
-use rayon::prelude::*;
 use std::io::{self, BufRead, Write};
 
 const MAGIC: &[u8; 6] = b"PDEC1\0";
@@ -232,152 +230,64 @@ pub fn read_weighted_edge_list(r: &mut impl BufRead) -> io::Result<WeightedGraph
     Ok(WeightedGraph::from_edges(n, &edges))
 }
 
-fn data_err(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Encodes the `PDEC1` graph body (everything after the magic): `n`,
 /// `arcs`, offsets, targets. This is also the [`SECTION_GRAPH`] payload.
 fn encode_graph_body(g: &CsrGraph) -> Vec<u8> {
-    let offsets = g.raw_offsets();
-    let targets = g.raw_targets();
+    let (offsets, targets) = (g.raw_offsets(), g.raw_targets());
     let mut buf = Vec::with_capacity(16 + offsets.len() * 8 + targets.len() * 4);
-    buf.put_u64_le(g.num_nodes() as u64);
-    buf.put_u64_le(targets.len() as u64);
-    for &o in offsets {
-        buf.put_u64_le(o as u64);
+    for &x in [g.num_nodes(), targets.len()].iter().chain(offsets) {
+        buf.extend_from_slice(&(x as u64).to_le_bytes());
     }
     for &t in targets {
-        buf.put_u32_le(t);
+        buf.extend_from_slice(&t.to_le_bytes());
     }
     buf
 }
 
-/// Validates a graph body's header, returning `(n, arcs, rest)` with `rest`
-/// positioned at the offsets array and guaranteed to hold exactly the
-/// declared payload. All arithmetic is checked: a hostile header must
-/// produce an error, not an overflow panic (debug) or a bogus comparison
-/// (release).
-fn decode_graph_header(body: &[u8]) -> io::Result<(usize, usize, &[u8])> {
-    let mut buf = body;
-    if buf.remaining() < 16 {
-        return Err(data_err("truncated header"));
-    }
-    let n = buf.get_u64_le() as usize;
-    let arcs = buf.get_u64_le() as usize;
-    let expected = n
-        .checked_add(1)
-        .and_then(|o| o.checked_mul(8))
-        .and_then(|o| o.checked_add(arcs.checked_mul(4)?))
-        .ok_or_else(|| data_err("header sizes overflow"))?;
-    if buf.remaining() != expected {
-        return Err(data_err("length mismatch"));
-    }
-    Ok((n, arcs, buf))
-}
-
-/// Fast graph decode: structural checks (monotone offsets, in-range
-/// targets) plus a bulk copy — no per-edge builder pass. See the module
-/// docs for the trust contract.
-fn decode_graph_fast(body: &[u8]) -> io::Result<CsrGraph> {
-    let (n, arcs, mut buf) = decode_graph_header(body)?;
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut prev = 0usize;
-    for i in 0..=n {
-        let o = buf.get_u64_le() as usize;
-        if (i == 0 && o != 0) || o < prev || o > arcs {
-            return Err(data_err("inconsistent offsets"));
-        }
-        prev = o;
-        offsets.push(o);
-    }
-    if prev != arcs {
-        return Err(data_err("inconsistent offsets"));
-    }
-    let targets: Vec<NodeId> = (0..arcs).map(|_| buf.get_u32_le()).collect();
-    let in_range = if arcs > 1 << 16 {
-        targets.par_iter().all(|&t| (t as usize) < n)
-    } else {
-        targets.iter().all(|&t| (t as usize) < n)
-    };
-    if !in_range {
-        return Err(data_err("target out of range"));
-    }
-    Ok(CsrGraph::from_parts(offsets, targets))
-}
-
-/// Checked graph decode: every edge re-runs through [`GraphBuilder`] so
-/// corrupt payloads cannot violate CSR invariants.
-fn decode_graph_checked(body: &[u8]) -> io::Result<CsrGraph> {
-    let (n, arcs, mut buf) = decode_graph_header(body)?;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(buf.get_u64_le() as usize);
-    }
-    let mut b = GraphBuilder::with_capacity(n, arcs / 2);
-    let mut targets = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        targets.push(buf.get_u32_le());
-    }
-    if *offsets.last().unwrap_or(&0) != arcs {
-        return Err(data_err("inconsistent offsets"));
-    }
-    for u in 0..n {
-        for &v in targets
-            .get(offsets[u]..offsets[u + 1])
-            .ok_or_else(|| data_err("offset out of bounds"))?
-        {
-            if (v as usize) >= n {
-                return Err(data_err("target out of range"));
-            }
-            if (u as NodeId) < v {
-                b.add_edge(u as NodeId, v);
-            }
-        }
-    }
-    Ok(b.build())
+/// Decodes a [`SECTION_GRAPH`] payload: a bulk copy of the CSR arrays,
+/// then the full [`CsrGraph::check_invariants`] pass.
+fn decode_graph(body: &[u8]) -> io::Result<CsrGraph> {
+    let mut r = Reader::new(body);
+    let n = r.usize()?;
+    let arcs = r.usize()?;
+    let offsets = r
+        .u64s(n.saturating_add(1))?
+        .into_iter()
+        .map(usize::try_from)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| invalid_data("offset does not fit in usize"))?;
+    let targets = r.u32s(arcs)?;
+    r.finish()?;
+    CsrGraph::try_from_parts(offsets, targets).map_err(invalid_data)
 }
 
 /// Encodes the [`SECTION_GRAPH_COMPRESSED`] payload.
 fn encode_cgraph_body(c: &CcsrGraph) -> Vec<u8> {
-    let data = c.raw_data();
-    let index = c.raw_index();
+    let (data, index) = (c.raw_data(), c.raw_index());
     let mut buf = Vec::with_capacity(24 + index.len() * 8 + data.len());
-    buf.put_u64_le(c.num_nodes() as u64);
-    buf.put_u64_le(c.num_arcs() as u64);
-    buf.put_u64_le(data.len() as u64);
-    for &o in index {
-        buf.put_u64_le(o);
+    for x in [c.num_nodes() as u64, c.num_arcs() as u64, data.len() as u64] {
+        buf.extend_from_slice(&x.to_le_bytes());
     }
-    buf.put_slice(data);
+    for &o in index {
+        buf.extend_from_slice(&o.to_le_bytes());
+    }
+    buf.extend_from_slice(data);
     buf
 }
 
-/// Decodes a [`SECTION_GRAPH_COMPRESSED`] payload. Always runs the full
-/// O(n + m) [`CcsrGraph::validate_parts`] pass — the decoder's trusted-path
-/// readers panic on malformed varints, so unvalidated bytes must never
-/// reach them. Symmetry is *not* checked here; [`Snapshot::graph_checked`]
-/// (and the checked repr path) decompresses and re-runs the full CSR
-/// invariants on top.
+/// Decodes a [`SECTION_GRAPH_COMPRESSED`] payload: the full O(n + m)
+/// [`CcsrGraph::validate_parts`] pass, symmetry included (the trusted-path
+/// varint readers panic on malformed records, so unvalidated bytes must
+/// never reach them).
 fn decode_cgraph(body: &[u8]) -> io::Result<CcsrGraph> {
-    let mut buf = body;
-    if buf.remaining() < 24 {
-        return Err(data_err("truncated compressed graph header"));
-    }
-    let n = buf.get_u64_le() as usize;
-    let arcs = buf.get_u64_le() as usize;
-    let data_len = buf.get_u64_le() as usize;
-    let index_len = n.div_ceil(BLOCK);
-    let expected = index_len
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(data_len))
-        .ok_or_else(|| data_err("compressed header sizes overflow"))?;
-    if buf.remaining() != expected {
-        return Err(data_err("compressed graph length mismatch"));
-    }
-    let index: Vec<u64> = (0..index_len).map(|_| buf.get_u64_le()).collect();
-    let data = buf.to_vec();
-    CcsrGraph::validate_parts(n, arcs, &data, &index).map_err(data_err)?;
+    let mut r = Reader::new(body);
+    let n = r.usize()?;
+    let arcs = r.usize()?;
+    let data_len = r.usize()?;
+    let index = r.u64s(n.div_ceil(BLOCK))?;
+    let data = r.bytes(data_len)?.to_vec();
+    r.finish()?;
+    CcsrGraph::validate_parts(n, arcs, &data, &index).map_err(invalid_data)?;
     Ok(CcsrGraph::from_raw_parts(n, arcs, data, index))
 }
 
@@ -388,10 +298,14 @@ pub fn save_binary(g: &CsrGraph, w: &mut impl Write) -> io::Result<()> {
     w.write_all(&encode_graph_body(g))
 }
 
-/// Deserializes the graph of a `PDEC1` **or** `PDEC2` snapshot through the
-/// checked (builder) path; extra `PDEC2` sections are ignored.
+/// Deserializes the graph of a `PDEC1` **or** `PDEC2` snapshot as a plain
+/// CSR (decompressing a compressed section); extra `PDEC2` sections are
+/// ignored.
 pub fn load_binary(bytes: &[u8]) -> io::Result<CsrGraph> {
-    Snapshot::parse(bytes)?.graph_checked()
+    Ok(match Snapshot::parse(bytes)?.graph()? {
+        GraphRepr::Plain(g) => g,
+        GraphRepr::Compressed(c) => c.to_csr(),
+    })
 }
 
 /// One section to persist alongside the graph in a `PDEC2` snapshot.
@@ -459,19 +373,19 @@ fn save_snapshot_sections(
     let table_end = MAGIC_V2.len() + 8 + count * ENTRY_BYTES;
 
     let mut header = Vec::with_capacity(table_end);
-    header.put_slice(MAGIC_V2);
-    header.put_u32_le(SNAPSHOT_TABLE_VERSION);
-    header.put_u32_le(count as u32);
+    header.extend_from_slice(MAGIC_V2);
+    header.extend_from_slice(&SNAPSHOT_TABLE_VERSION.to_le_bytes());
+    header.extend_from_slice(&(count as u32).to_le_bytes());
     let mut cursor = table_end;
     let mut offsets = Vec::with_capacity(count);
     for (tag, version, len) in std::iter::once((graph_tag, graph_version, graph_body.len()))
         .chain(extra.iter().map(|s| (s.tag, s.version, s.payload.len())))
     {
         cursor = cursor.next_multiple_of(8);
-        header.put_u32_le(tag);
-        header.put_u32_le(version);
-        header.put_u64_le(cursor as u64);
-        header.put_u64_le(len as u64);
+        header.extend_from_slice(&tag.to_le_bytes());
+        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&(cursor as u64).to_le_bytes());
+        header.extend_from_slice(&(len as u64).to_le_bytes());
         offsets.push(cursor);
         cursor += len;
     }
@@ -521,7 +435,7 @@ impl<'a> Snapshot<'a> {
     /// end of `bytes` exactly — so truncating a valid snapshot at any byte
     /// fails either here or in the graph decode, never silently.
     pub fn parse(bytes: &'a [u8]) -> io::Result<Snapshot<'a>> {
-        if bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC {
+        if bytes.starts_with(MAGIC) {
             let entries = vec![SectionEntry {
                 tag: SECTION_GRAPH,
                 version: SECTION_GRAPH_VERSION,
@@ -530,48 +444,32 @@ impl<'a> Snapshot<'a> {
             }];
             return Ok(Snapshot { bytes, entries });
         }
-        if bytes.len() < MAGIC_V2.len() || &bytes[..MAGIC_V2.len()] != MAGIC_V2 {
-            return Err(data_err("bad magic"));
+        let mut r = Reader::new(bytes);
+        if r.bytes(MAGIC_V2.len()).ok() != Some(&MAGIC_V2[..]) {
+            return Err(invalid_data("bad magic"));
         }
-        let mut buf = &bytes[MAGIC_V2.len()..];
-        if buf.remaining() < 8 {
-            return Err(data_err("truncated section table header"));
-        }
-        let table_version = buf.get_u32_le();
+        let table_version = r.u32()?;
         if table_version != SNAPSHOT_TABLE_VERSION {
-            return Err(data_err(format!(
+            return Err(invalid_data(format!(
                 "unsupported snapshot table version {table_version}"
             )));
         }
-        let count = buf.get_u32_le() as usize;
+        let count = r.u32()? as usize;
         if count == 0 || count > MAX_SECTIONS {
-            return Err(data_err(format!("implausible section count {count}")));
+            return Err(invalid_data(format!("implausible section count {count}")));
         }
-        let table_bytes = count
-            .checked_mul(ENTRY_BYTES)
-            .ok_or_else(|| data_err("section table size overflow"))?;
-        if buf.remaining() < table_bytes {
-            return Err(data_err("truncated section table"));
-        }
-        let table_end = MAGIC_V2.len() + 8 + table_bytes;
+        let mut table = r.records(count, ENTRY_BYTES)?;
+        let table_end = r.position();
         let mut entries = Vec::with_capacity(count);
         let mut end = table_end;
         for _ in 0..count {
-            let tag = buf.get_u32_le();
-            let version = buf.get_u32_le();
-            let offset = buf.get_u64_le();
-            let len = buf.get_u64_le();
-            if offset > usize::MAX as u64 || len > usize::MAX as u64 {
-                return Err(data_err("section range overflow"));
+            let (tag, version) = (table.u32()?, table.u32()?);
+            let (offset, len) = (table.usize()?, table.usize()?);
+            // `get` bounds both ends without any offset arithmetic.
+            if offset < table_end || bytes.get(offset..).and_then(|t| t.get(..len)).is_none() {
+                return Err(invalid_data("section range out of bounds"));
             }
-            let (offset, len) = (offset as usize, len as usize);
-            let section_end = offset
-                .checked_add(len)
-                .ok_or_else(|| data_err("section range overflow"))?;
-            if offset < table_end || section_end > bytes.len() {
-                return Err(data_err("section range out of bounds"));
-            }
-            end = end.max(section_end);
+            end = end.max(offset + len);
             entries.push(SectionEntry {
                 tag,
                 version,
@@ -582,13 +480,13 @@ impl<'a> Snapshot<'a> {
         // Pin the file length: trailing bytes beyond the last section would
         // make some truncations of a longer file parse successfully.
         if end != bytes.len() {
-            return Err(data_err("trailing bytes after last section"));
+            return Err(invalid_data("trailing bytes after last section"));
         }
         if !entries
             .iter()
             .any(|e| e.tag == SECTION_GRAPH || e.tag == SECTION_GRAPH_COMPRESSED)
         {
-            return Err(data_err("snapshot has no graph section"));
+            return Err(invalid_data("snapshot has no graph section"));
         }
         Ok(Snapshot { bytes, entries })
     }
@@ -606,28 +504,17 @@ impl<'a> Snapshot<'a> {
             .map(|e| (e.version, &self.bytes[e.offset..e.offset + e.len]))
     }
 
-    fn graph_body(&self) -> io::Result<&'a [u8]> {
-        let (version, body) = self
-            .section(SECTION_GRAPH)
-            .ok_or_else(|| data_err("snapshot has no plain graph section"))?;
-        if version != SECTION_GRAPH_VERSION {
-            return Err(data_err(format!(
-                "unsupported graph section version {version}"
-            )));
+    /// Payload of the first section with `tag`, if present; a layout
+    /// version other than `version` is an error (`what` names the section
+    /// in it).
+    pub fn versioned(&self, tag: u32, version: u32, what: &str) -> io::Result<Option<&'a [u8]>> {
+        match self.section(tag) {
+            Some((v, body)) if v == version => Ok(Some(body)),
+            Some((v, _)) => Err(invalid_data(format!(
+                "unsupported {what} section version {v}"
+            ))),
+            None => Ok(None),
         }
-        Ok(body)
-    }
-
-    fn cgraph_body(&self) -> io::Result<&'a [u8]> {
-        let (version, body) = self
-            .section(SECTION_GRAPH_COMPRESSED)
-            .ok_or_else(|| data_err("snapshot has no compressed graph section"))?;
-        if version != SECTION_GRAPH_COMPRESSED_VERSION {
-            return Err(data_err(format!(
-                "unsupported compressed graph section version {version}"
-            )));
-        }
-        Ok(body)
     }
 
     /// Which [`Backend`] the snapshot's graph section was written with.
@@ -639,54 +526,21 @@ impl<'a> Snapshot<'a> {
         }
     }
 
-    /// Decodes the graph through the **fast path**: structural checks and a
-    /// bulk copy, no per-edge rebuild (see the module docs' trust
-    /// contract). This is the resident-daemon startup path. A compressed
-    /// snapshot is decompressed (its records are validated first — the
-    /// compressed layout has no unchecked fast path).
-    pub fn graph(&self) -> io::Result<CsrGraph> {
-        if self.section(SECTION_GRAPH).is_some() {
-            decode_graph_fast(self.graph_body()?)
-        } else {
-            Ok(decode_cgraph(self.cgraph_body()?)?.to_csr())
+    /// Decodes and fully validates the graph (see the module docs) into
+    /// the backend it was written with: a plain section loads as a plain
+    /// CSR, a compressed section stays compressed.
+    pub fn graph(&self) -> io::Result<GraphRepr> {
+        if let Some(body) = self.versioned(SECTION_GRAPH, SECTION_GRAPH_VERSION, "graph")? {
+            return decode_graph(body).map(GraphRepr::Plain);
         }
-    }
-
-    /// Decodes the graph through the **checked fallback path**: every edge
-    /// re-runs through [`GraphBuilder`]. Use for files of unknown origin.
-    pub fn graph_checked(&self) -> io::Result<CsrGraph> {
-        if self.section(SECTION_GRAPH).is_some() {
-            decode_graph_checked(self.graph_body()?)
-        } else {
-            let c = decode_cgraph(self.cgraph_body()?)?;
-            let g = c.to_csr();
-            g.check_invariants().map_err(data_err)?;
-            Ok(g)
-        }
-    }
-
-    /// Decodes the graph into the backend it was written with: a plain
-    /// section loads through the fast path, a compressed section stays
-    /// compressed (validated, never decompressed).
-    pub fn graph_repr(&self) -> io::Result<GraphRepr> {
-        if self.section(SECTION_GRAPH).is_some() {
-            Ok(GraphRepr::Plain(decode_graph_fast(self.graph_body()?)?))
-        } else {
-            Ok(GraphRepr::Compressed(decode_cgraph(self.cgraph_body()?)?))
-        }
-    }
-
-    /// [`Snapshot::graph_repr`] through the checked path: both backends
-    /// additionally decompress/rebuild and verify the full CSR invariants
-    /// (sorted, symmetric, loop-free).
-    pub fn graph_repr_checked(&self) -> io::Result<GraphRepr> {
-        if self.section(SECTION_GRAPH).is_some() {
-            Ok(GraphRepr::Plain(decode_graph_checked(self.graph_body()?)?))
-        } else {
-            let c = decode_cgraph(self.cgraph_body()?)?;
-            c.to_csr().check_invariants().map_err(data_err)?;
-            Ok(GraphRepr::Compressed(c))
-        }
+        let body = self
+            .versioned(
+                SECTION_GRAPH_COMPRESSED,
+                SECTION_GRAPH_COMPRESSED_VERSION,
+                "compressed graph",
+            )?
+            .ok_or_else(|| invalid_data("snapshot has no graph section"))?;
+        decode_cgraph(body).map(GraphRepr::Compressed)
     }
 }
 
@@ -820,8 +674,7 @@ mod tests {
         assert_eq!(snap.section(TAG_A), Some((3, &[1u8, 2, 3, 4, 5][..])));
         assert_eq!(snap.section(TAG_B), Some((1, &[][..])));
         assert_eq!(snap.section(u32::from_le_bytes(*b"ZZZZ")), None);
-        assert_eq!(snap.graph().unwrap(), g);
-        assert_eq!(snap.graph_checked().unwrap(), g);
+        assert_eq!(snap.graph().unwrap(), GraphRepr::Plain(g.clone()));
         // `load_binary` accepts PDEC2 and ignores unknown sections.
         assert_eq!(load_binary(&buf).unwrap(), g);
     }
@@ -833,7 +686,7 @@ mod tests {
         save_snapshot(&g, &[], &mut buf).unwrap();
         let snap = Snapshot::parse(&buf).unwrap();
         assert_eq!(snap.sections().len(), 1);
-        assert_eq!(snap.graph().unwrap(), g);
+        assert_eq!(snap.graph().unwrap(), GraphRepr::Plain(g));
     }
 
     #[test]
@@ -844,8 +697,7 @@ mod tests {
         let snap = Snapshot::parse(&buf).unwrap();
         assert_eq!(snap.sections().len(), 1);
         assert_eq!(snap.sections()[0].tag, SECTION_GRAPH);
-        assert_eq!(snap.graph().unwrap(), g);
-        assert_eq!(snap.graph_checked().unwrap(), g);
+        assert_eq!(snap.graph().unwrap(), GraphRepr::Plain(g));
     }
 
     /// Every proper prefix of a sectioned snapshot fails to parse — the
@@ -908,7 +760,6 @@ mod tests {
         bad[18..22].copy_from_slice(&7u32.to_le_bytes());
         let snap = Snapshot::parse(&bad).unwrap();
         assert!(snap.graph().is_err());
-        assert!(snap.graph_checked().is_err());
 
         // Trailing garbage is rejected, so truncating a longer file back to
         // a "valid" snapshot plus junk cannot succeed.
@@ -918,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_snapshot_round_trips_both_read_paths() {
+    fn compressed_snapshot_round_trips() {
         let g = generators::preferential_attachment(400, 4, 11);
         let repr = GraphRepr::from_csr(g.clone(), Backend::Compressed);
         let extra = [SectionData {
@@ -932,26 +783,23 @@ mod tests {
         assert_eq!(snap.graph_backend(), Backend::Compressed);
         assert_eq!(snap.sections()[0].tag, SECTION_GRAPH_COMPRESSED);
         assert_eq!(snap.section(TAG_A), Some((2, &[8u8, 7, 6][..])));
-        // CSR views agree with the original on both paths.
-        assert_eq!(snap.graph().unwrap(), g);
-        assert_eq!(snap.graph_checked().unwrap(), g);
-        // The repr path preserves the backend without decompressing.
-        let loaded = snap.graph_repr().unwrap();
+        // The graph keeps its backend and agrees with the original.
+        let loaded = snap.graph().unwrap();
         assert_eq!(loaded.backend(), Backend::Compressed);
         assert_eq!(loaded.to_csr().as_ref(), &g);
-        assert_eq!(snap.graph_repr_checked().unwrap().to_csr().as_ref(), &g);
+        assert_eq!(load_binary(&buf).unwrap(), g);
         // A plain snapshot reports the plain backend through the same API.
         let mut plain_buf = Vec::new();
         save_snapshot_repr(&GraphRepr::Plain(g.clone()), &[], &mut plain_buf).unwrap();
         let plain_snap = Snapshot::parse(&plain_buf).unwrap();
         assert_eq!(plain_snap.graph_backend(), Backend::Plain);
-        assert_eq!(plain_snap.graph_repr().unwrap().backend(), Backend::Plain);
+        assert_eq!(plain_snap.graph().unwrap().backend(), Backend::Plain);
         // Compression shows up on disk too.
         assert!(buf.len() < plain_buf.len());
     }
 
-    /// Every proper prefix of a compressed snapshot is an error on every
-    /// read path — the same promise the plain section makes.
+    /// Every proper prefix of a compressed snapshot is an error — the same
+    /// promise the plain section makes.
     #[test]
     fn compressed_snapshot_every_truncation_is_an_error() {
         let g = generators::mesh(6, 5);
@@ -961,7 +809,7 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(
                 Snapshot::parse(&buf[..cut])
-                    .and_then(|s| s.graph_repr())
+                    .and_then(|s| s.graph())
                     .is_err(),
                 "prefix of {cut} bytes must not decode"
             );
@@ -971,12 +819,12 @@ mod tests {
         let data_start = snap.sections()[0].offset + 24;
         let mut bad = buf.clone();
         bad[data_start] ^= 0x80; // grow a varint past its record
-        let res = Snapshot::parse(&bad).and_then(|s| s.graph_repr());
+        let res = Snapshot::parse(&bad).and_then(|s| s.graph());
         assert!(res.is_err());
     }
 
     #[test]
-    fn snapshot_fast_path_rejects_corrupt_graph_bodies() {
+    fn snapshot_rejects_corrupt_graph_bodies() {
         let g = generators::mesh(4, 4);
         let mut buf = Vec::new();
         save_snapshot(&g, &[], &mut buf).unwrap();
@@ -988,7 +836,6 @@ mod tests {
         let end = bad.len();
         bad[end - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Snapshot::parse(&bad).unwrap().graph().is_err());
-        assert!(Snapshot::parse(&bad).unwrap().graph_checked().is_err());
 
         // Non-monotone offsets: clobber the second offset word with a value
         // larger than the arc count.
@@ -996,7 +843,6 @@ mod tests {
         let o1 = graph_off + 16 + 8;
         bad[o1..o1 + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(Snapshot::parse(&bad).unwrap().graph().is_err());
-        assert!(Snapshot::parse(&bad).unwrap().graph_checked().is_err());
     }
 
     mod properties {
@@ -1045,8 +891,8 @@ mod tests {
                 prop_assert!(load_binary(&buf[..cut]).is_err());
             }
 
-            /// PDEC2 write → parse is the identity on graph and sections,
-            /// through both read paths, for arbitrary section payloads.
+            /// PDEC2 write → parse is the identity on graph and sections
+            /// for arbitrary section payloads.
             #[test]
             fn sectioned_snapshot_round_trips(
                 g in any_graph(),
@@ -1071,9 +917,7 @@ mod tests {
                     prop_assert_eq!(v, s.version);
                     prop_assert_eq!(p, &s.payload[..]);
                 }
-                let fast = snap.graph().unwrap();
-                prop_assert_eq!(&fast, &g);
-                prop_assert_eq!(&snap.graph_checked().unwrap(), &fast);
+                prop_assert_eq!(snap.graph().unwrap(), GraphRepr::Plain(g));
             }
 
             /// Truncating a sectioned snapshot anywhere fails to parse.

@@ -25,7 +25,8 @@
 //!   contracted-graph builds, `GraphBuilder::build`, the spanner's CSR
 //!   assembly — with the seed-era sequential versions retained in [`naive`]
 //!   as test oracles;
-//! * edge-list and binary **I/O** and basic **statistics**.
+//! * edge-list and binary **I/O**, every binary decoder running on the one
+//!   checked [`codec::Reader`], and basic **statistics**.
 //!
 //! All randomized routines take an explicit `u64` seed so that every
 //! experiment in the workspace is reproducible.
@@ -43,6 +44,7 @@
 pub mod access;
 pub mod builder;
 pub mod ccsr;
+pub mod codec;
 pub mod combine;
 pub mod components;
 pub mod contract;

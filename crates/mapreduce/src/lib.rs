@@ -11,7 +11,7 @@
 //!
 //! The original system was built on Apache Spark over a 16-host cluster.
 //! There is no mature Rust MapReduce runtime, so this crate *emulates* the
-//! model in-process (see DESIGN.md §2):
+//! model in-process (see the README's *MR emulation* section):
 //!
 //! * [`shuffle`] is the data plane: a **two-pass parallel radix
 //!   partitioner** (count → exact offsets → scatter into one flat pre-sized

@@ -2,12 +2,11 @@
 
 use crate::hash::hash_with;
 use crate::DistinctCounter;
-use serde::{Deserialize, Serialize};
 
 /// HyperLogLog sketch with `2^precision` 6-bit-equivalent registers (stored
 /// as bytes). Merge is element-wise max; the estimator is the bias-corrected
 /// harmonic mean with linear-counting small-range correction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HllSketch {
     precision: u8,
     seed: u64,

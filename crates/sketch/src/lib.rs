@@ -13,10 +13,9 @@
 //! * [`HllSketch`] — HyperLogLog registers (merge = element-wise max), the
 //!   sketch behind HyperANF, with linear-counting small-range correction.
 //!
-//! Both are deterministic given their construction seed, `serde`-serializable,
-//! and form a **merge semilattice** (commutative, associative, idempotent)
-//! — the property the vertex-program propagation relies on; it is enforced
-//! by property tests.
+//! Both are deterministic given their construction seed and form a **merge
+//! semilattice** (commutative, associative, idempotent) — the property the
+//! vertex-program propagation relies on; it is enforced by property tests.
 //!
 //! ```
 //! use pardec_sketch::{DistinctCounter, FmSketch};

@@ -1,4 +1,5 @@
-//! Property-based tests (proptest) over the DESIGN.md §6 invariants:
+//! Property-based tests (proptest) over the paper invariants the README
+//! lists under *Paper invariants under test*:
 //! random graphs × random parameters, checking partition validity, theorem
 //! bounds, diameter sandwiches, sketch semilattice laws, and MR primitive
 //! equivalence with their sequential counterparts.
