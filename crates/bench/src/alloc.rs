@@ -95,35 +95,3 @@ pub fn reset_peak() {
 pub fn enabled() -> bool {
     cfg!(feature = "count-alloc")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counts_move_with_allocations() {
-        if !enabled() {
-            return;
-        }
-        reset_peak();
-        let before = current_bytes();
-        let v: Vec<u8> = Vec::with_capacity(1 << 20);
-        assert!(current_bytes() >= before + (1 << 20));
-        assert!(peak_bytes() >= before + (1 << 20));
-        drop(v);
-        assert!(current_bytes() < before + (1 << 20));
-        // Peak survives the drop.
-        assert!(peak_bytes() >= before + (1 << 20));
-    }
-
-    #[test]
-    fn reset_peak_rebases_to_current() {
-        if !enabled() {
-            return;
-        }
-        let v: Vec<u8> = Vec::with_capacity(1 << 16);
-        reset_peak();
-        assert!(peak_bytes() <= current_bytes() + 1024);
-        drop(v);
-    }
-}

@@ -13,8 +13,7 @@ use pardec_bench::{
 use pardec_core::hadi::mr_hadi;
 use pardec_core::mr_impl::{mr_bfs, mr_cluster};
 use pardec_core::{ClusterParams, HadiParams};
-use pardec_graph::diameter::apsp_diameter;
-use pardec_graph::traversal::bfs_parallel;
+use pardec_graph::diameter::bounded_diameter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +41,7 @@ fn main() {
             let r = mr_cluster(g, &ClusterParams::new(tau, 11));
             let c = &r.clustering;
             let wq = c.weighted_quotient(g);
-            let est = 2 * c.max_radius() as u64 + wq.apsp_diameter();
+            let est = 2 * c.max_radius() as u64 + bounded_diameter(&wq).diameter;
             (est, r.supersteps, r.stats.total_pairs())
         });
 
@@ -94,9 +93,6 @@ fn main() {
                 hadi_pairs as f64 / 1e6
             ),
         ]);
-        // Cross-check against the exact diameter on small quotients only.
-        let _ = apsp_diameter; // (used by table3 path; kept for parity)
-        let _ = bfs_parallel::<pardec_graph::CsrGraph>;
     }
     t.print();
     println!("\npaper shape: on long-diameter graphs CLUSTER beats BFS by ~8-20x and HADI by");

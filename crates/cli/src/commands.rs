@@ -415,7 +415,7 @@ fn cmd_dist_weighted(args: &Args) -> CmdResult {
         a.trace.delta
     );
     if args.has_flag("exact") {
-        let exact = g.apsp_diameter();
+        let exact = diameter::bounded_diameter(&g).diameter;
         println!("exact diameter       {exact}");
         println!(
             "approximation ratio  {:.3}",

@@ -1,8 +1,11 @@
 //! §4 — diameter approximation through the quotient graph of a clustering.
 //!
 //! Pipeline: decompose `G` (CLUSTER2 for the Theorem 3 guarantees, or plain
-//! CLUSTER as the paper's own experiments do for speed), build the quotient
-//! graph `G_C`, compute its diameter `Δ_C`, and report
+//! CLUSTER as the paper's own experiments do for speed), contract it once
+//! into the weighted quotient graph (whose topology is the unweighted
+//! quotient `G_C`), compute the exact diameters `Δ_C` and `Δ′_C` with the
+//! eccentricity-bounding [`pardec_graph::diameter::bounded_diameter`], and
+//! report
 //!
 //! * lower bound `Δ_C ≤ Δ`,
 //! * upper bound `Δ′ = 2·R·(Δ_C + 1) + Δ_C` (Corollary 1), and
@@ -39,8 +42,9 @@ pub struct DiameterParams {
     pub seed: u64,
     /// Which clustering algorithm to run.
     pub decomposition: Decomposition,
-    /// Also compute the weighted-quotient bound `Δ″` (costs one APSP over
-    /// the quotient, like the paper's tightened estimate).
+    /// Also compute the weighted-quotient bound `Δ″` (costs one exact
+    /// weighted diameter of the quotient: a few dozen Dijkstra sweeps on
+    /// typical quotients, like the paper's tightened estimate).
     pub weighted: bool,
     /// Theorem 4's sparsification path: when the quotient has more edges
     /// than this (the `M_L` stand-in), replace it with a Baswana–Sen
@@ -152,7 +156,10 @@ pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
 ) -> DiameterApprox {
     let radius = clustering.max_radius();
 
-    let (mut q, quotient_kernel) = clustering.quotient_with_stats(g);
+    // One contraction: the weighted quotient, whose offsets and targets are
+    // the unweighted quotient (same CSR, same combine ledger).
+    let (wq, quotient_kernel) = clustering.weighted_quotient_with_stats(g);
+    let mut q = wq.topology();
     // Theorem 4: if the quotient exceeds the local-memory stand-in,
     // sparsify it with a (2k-1)-spanner before the diameter computation.
     let mut stretch = 1u64;
@@ -163,22 +170,14 @@ pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
             q = sp.graph;
         }
     }
-    let q_diam = if q.num_nodes() <= 4096 {
-        exact::apsp_diameter(&q) as u64
-    } else if pardec_graph::components::is_connected(&q) {
-        exact::ifub(&q, 0).0 as u64
-    } else {
-        exact::exact_diameter(&q) as u64
-    };
+    let q_diam = exact::bounded_diameter(&q).diameter;
     // With sparsification, q_diam over-estimates Δ_C by at most `stretch`.
     let delta_c = q_diam / stretch;
     let upper = 2 * radius as u64 * (q_diam + 1) + q_diam;
 
-    let upper_weighted = params.weighted.then(|| {
-        let wq = clustering.weighted_quotient(g);
-        let wdiam = wq.apsp_diameter();
-        2 * radius as u64 + wdiam
-    });
+    let upper_weighted = params
+        .weighted
+        .then(|| 2 * radius as u64 + exact::bounded_diameter(&wq).diameter);
 
     DiameterApprox {
         lower_bound: delta_c,

@@ -5,7 +5,8 @@
 //! between adjacent centers through one cut edge), and report
 //!
 //! * upper bound `Δ″ = 2·R_w + Δ′_C`, where `R_w` is the maximum weighted
-//!   cluster radius and `Δ′_C` the quotient's weighted APSP diameter — any
+//!   cluster radius and `Δ′_C` the quotient's exact weighted diameter
+//!   (eccentricity bounding, [`pardec_graph::diameter::bounded_diameter`]) — any
 //!   shortest path detours through at most two cluster centers plus a
 //!   center-to-center quotient path;
 //! * lower bound from a double-sweep Dijkstra on `G` itself (farthest node
@@ -14,6 +15,7 @@
 
 use crate::cluster::ClusterParams;
 use crate::weighted_cluster::{weighted_cluster_result, WeightedClusterTrace, WeightedClustering};
+use pardec_graph::diameter::bounded_diameter;
 use pardec_graph::weighted::INFINITE_WEIGHT;
 use pardec_graph::{CombineStats, NodeId, WeightedGraph};
 
@@ -56,7 +58,7 @@ pub fn weighted_diameter(g: &WeightedGraph, params: &ClusterParams) -> WeightedD
     let r = weighted_cluster_result(g, params);
     let (quotient, kernel) = r.clustering.quotient_with_stats(g);
     let radius = r.clustering.max_weighted_radius();
-    let upper = 2 * radius + quotient.apsp_diameter();
+    let upper = 2 * radius + bounded_diameter(&quotient).diameter;
     WeightedDiameterApprox {
         lower_bound: double_sweep_lower_bound(g),
         upper_bound: upper,

@@ -1,19 +1,26 @@
 //! Exact diameter computation — the ground-truth `Δ` column of Tables 1, 3
-//! and 4.
+//! and 4, and every quotient diameter of the §4 pipeline.
 //!
-//! Three routines, in increasing sophistication:
+//! Four routines:
+//! * [`bounded_diameter`] — Takes–Kosters eccentricity bounding over unit
+//!   ([`CsrGraph`]) and weighted ([`WeightedGraph`]) graphs: a few dozen
+//!   BFS / Dijkstra sweeps on typical quotients, one per node on
+//!   vertex-transitive inputs; the routine behind every quotient diameter;
 //! * [`apsp_diameter`] — BFS from every node (parallelized), `O(n(n + m))`;
-//!   fine for quotient graphs and test fixtures;
+//!   the test oracle for the above;
 //! * [`double_sweep`] — classic 2-sweep lower bound, also yields a good iFUB
 //!   root (the midpoint of the sweep path);
 //! * [`ifub`] — the iFUB algorithm (Crescenzi et al.), exact on connected
 //!   graphs, usually terminating after a handful of BFS runs on road-like
-//!   and mesh-like topologies.
+//!   and mesh-like topologies; [`exact_diameter`] runs it on large input
+//!   graphs.
 
 use crate::frontier::{single_source_bfs, FrontierStrategy};
 use crate::traversal::{bfs, bfs_with_parents};
-use crate::{components, CsrGraph, NodeId};
+use crate::weighted::INFINITE_WEIGHT;
+use crate::{components, CsrGraph, NodeId, WeightedGraph, INFINITE_DIST};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 
 /// Exact diameter by all-pairs BFS, parallelized over sources.
 ///
@@ -115,15 +122,15 @@ pub fn ifub(g: &CsrGraph, start: NodeId) -> (u32, usize) {
 }
 
 /// Exact diameter of an arbitrary graph: the maximum over connected
-/// components (0 for the empty graph). Small components fall back to APSP;
-/// large ones use iFUB.
+/// components (0 for the empty graph). Small components use
+/// [`bounded_diameter`]; large ones use iFUB.
 pub fn exact_diameter(g: &CsrGraph) -> u32 {
     if g.num_nodes() == 0 {
         return 0;
     }
     if components::is_connected(g) {
         return if g.num_nodes() <= 1024 {
-            apsp_diameter(g)
+            bounded_diameter(g).diameter as u32
         } else {
             ifub(g, 0).0
         };
@@ -138,6 +145,239 @@ pub fn exact_diameter(g: &CsrGraph) -> u32 {
         best = best.max(exact_diameter(&sub));
     }
     best
+}
+
+/// A graph [`bounded_diameter`] can sweep: one single-source shortest-path
+/// run per call — BFS on unit graphs, Dijkstra on weighted ones.
+pub trait SweepGraph: Sync {
+    /// Distance type of one sweep.
+    type Dist: Copy + PartialEq + Into<u64> + Send + Sync;
+    /// The distance of an unreached node.
+    const UNREACHED: Self::Dist;
+    /// Whether distances are edge-weighted.
+    const WEIGHTED: bool;
+    /// Number of nodes.
+    fn num_nodes(&self) -> usize;
+    /// Degree of `u`.
+    fn degree(&self, u: NodeId) -> usize;
+    /// Distances from `src`, and the eccentricity of `src` (its largest
+    /// finite distance).
+    fn sweep(&self, src: NodeId) -> (Vec<Self::Dist>, u64);
+}
+
+impl SweepGraph for CsrGraph {
+    type Dist = u32;
+    const UNREACHED: u32 = INFINITE_DIST;
+    const WEIGHTED: bool = false;
+
+    fn num_nodes(&self) -> usize {
+        CsrGraph::num_nodes(self)
+    }
+
+    fn degree(&self, u: NodeId) -> usize {
+        CsrGraph::degree(self, u)
+    }
+
+    fn sweep(&self, src: NodeId) -> (Vec<u32>, u64) {
+        let r = bfs(self, src);
+        (r.dist, r.levels as u64)
+    }
+}
+
+impl SweepGraph for WeightedGraph {
+    type Dist = u64;
+    const UNREACHED: u64 = INFINITE_WEIGHT;
+    const WEIGHTED: bool = true;
+
+    fn num_nodes(&self) -> usize {
+        WeightedGraph::num_nodes(self)
+    }
+
+    fn degree(&self, u: NodeId) -> usize {
+        WeightedGraph::degree(self, u)
+    }
+
+    fn sweep(&self, src: NodeId) -> (Vec<u64>, u64) {
+        let dist = self.dijkstra(src);
+        let ecc = dist
+            .iter()
+            .copied()
+            .filter(|&d| d != INFINITE_WEIGHT)
+            .max()
+            .unwrap_or(0);
+        (dist, ecc)
+    }
+}
+
+/// Result of [`bounded_diameter`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BoundedDiameter {
+    /// The exact diameter: the largest finite eccentricity, i.e. the
+    /// maximum over connected components (0 for the empty graph).
+    pub diameter: u64,
+    /// Single-source sweeps spent (`n` would be APSP-equivalent work).
+    pub sweeps: usize,
+    /// Rounds of parallel sweeps.
+    pub rounds: usize,
+}
+
+/// Exact diameter by eccentricity bounding (Takes–Kosters
+/// *BoundingDiameters*), for unit and weighted graphs alike.
+///
+/// Every node keeps a lower and an upper bound on its eccentricity. A sweep
+/// from `v` tightens every node `w` it reaches by the triangle inequality:
+/// `max(d(v, w), ecc(v) − d(v, w)) ≤ ecc(w) ≤ ecc(v) + d(v, w)`. Every
+/// lower bound is also a lower bound on the diameter. A *candidate* is a
+/// node whose upper bound still exceeds the best lower bound; it is dropped
+/// once it no longer does, and the diameter is known when none is left.
+///
+/// Each round sweeps a batch of sources in parallel, taken in turn from
+/// three rankings (ties to the higher degree, then the smaller id): the
+/// candidates by highest upper bound (likely peripheral: raises the lower
+/// bound), the unswept nodes by lowest lower bound (likely central: lowers
+/// many upper bounds at once) and the candidates by lowest lower bound. A
+/// batch is as large as the pool; after a round that drops no candidate
+/// besides its own sources, the next batch doubles, so vertex-transitive
+/// graphs, which need one sweep per node, take few rounds.
+///
+/// Sweeps only bound nodes of their own component, so on a disconnected
+/// graph each component is swept and the result is the largest
+/// per-component diameter, as with [`apsp_diameter`]. The sweep count
+/// depends on the pool size; the diameter does not.
+pub fn bounded_diameter<G: SweepGraph>(g: &G) -> BoundedDiameter {
+    let n = g.num_nodes();
+    let mut span = pardec_obs::span!("diameter.exact", nodes = n, weighted = G::WEIGHTED);
+    let pool = rayon::current_num_threads().max(1);
+    let mut batch = pool;
+    let mut lower = vec![0u64; n];
+    let mut upper = vec![u64::MAX; n];
+    let mut swept = vec![false; n];
+    // Isolated nodes have eccentricity 0 and can never raise the diameter.
+    let mut candidates: Vec<NodeId> = (0..n as NodeId).filter(|&u| g.degree(u) > 0).collect();
+    let mut best = 0u64;
+    let (mut sweeps, mut rounds) = (0, 0);
+    while !candidates.is_empty() {
+        let key = |w: NodeId, bound: u64| (bound, Reverse(g.degree(w)), w);
+        let by_upper = smallest(
+            candidates
+                .iter()
+                .map(|&w| (key(w, u64::MAX - upper[w as usize]), w))
+                .collect(),
+            batch,
+        );
+        let by_lower_all = smallest(
+            (0..n as NodeId)
+                .filter(|&w| !swept[w as usize] && g.degree(w) > 0)
+                .map(|w| (key(w, lower[w as usize]), w))
+                .collect(),
+            batch,
+        );
+        let by_lower = smallest(
+            candidates
+                .iter()
+                .map(|&w| (key(w, lower[w as usize]), w))
+                .collect(),
+            batch,
+        );
+        let rankings = [&by_upper[..], &by_lower_all, &by_lower];
+        let sources = take_in_turn(&rankings, batch, rounds, &mut swept);
+        // Up to four chunks of sources per worker, for balance; a chunk
+        // folds each distance row into its own bounds as soon as it is
+        // swept, so only one row per worker is ever alive.
+        let folded: Vec<(Vec<u64>, Vec<u64>)> = sources
+            .par_chunks(sources.len().div_ceil(4 * pool))
+            .map(|chunk| {
+                let (mut lo, mut up) = (vec![0u64; n], vec![u64::MAX; n]);
+                for &s in chunk {
+                    let (dist, ecc) = g.sweep(s);
+                    tighten::<G>(&mut lo, &mut up, &dist, ecc);
+                }
+                (lo, up)
+            })
+            .collect();
+        for (lo, up) in &folded {
+            for (l, &x) in lower.iter_mut().zip(lo) {
+                *l = (*l).max(x);
+            }
+            for (u, &x) in upper.iter_mut().zip(up) {
+                *u = (*u).min(x);
+            }
+        }
+        sweeps += sources.len();
+        rounds += 1;
+        best = best.max(lower.iter().copied().max().unwrap_or(0));
+        let before = candidates.len();
+        candidates.retain(|&w| upper[w as usize] > best);
+        batch = if before - candidates.len() <= sources.len() {
+            2 * batch
+        } else {
+            pool
+        };
+    }
+    span.field("sweeps", sweeps);
+    span.field("rounds", rounds);
+    BoundedDiameter {
+        diameter: best,
+        sweeps,
+        rounds,
+    }
+}
+
+/// Tightens `lower` and `upper` by one sweep's distances `dist` from a
+/// source of eccentricity `ecc`.
+fn tighten<G: SweepGraph>(lower: &mut [u64], upper: &mut [u64], dist: &[G::Dist], ecc: u64) {
+    for ((lo, up), &d) in lower.iter_mut().zip(upper.iter_mut()).zip(dist) {
+        // Branch-free, so the loop vectorizes; the wrapped values of an
+        // unreached node are never selected.
+        let reached = d != G::UNREACHED;
+        let d: u64 = d.into();
+        let (l, u) = (d.max(ecc.wrapping_sub(d)), ecc.wrapping_add(d));
+        *lo = (*lo).max(if reached { l } else { 0 });
+        *up = (*up).min(if reached { u } else { u64::MAX });
+    }
+}
+
+/// The nodes of the `count` smallest keys, smallest first.
+fn smallest<K: Ord + Copy>(mut keyed: Vec<(K, NodeId)>, count: usize) -> Vec<NodeId> {
+    if keyed.len() > count {
+        keyed.select_nth_unstable(count);
+        keyed.truncate(count);
+    }
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, w)| w).collect()
+}
+
+/// Up to `batch` unswept nodes, one from each ranking in turn (starting
+/// with ranking `start mod rankings.len()`); marks them swept.
+fn take_in_turn(
+    rankings: &[&[NodeId]],
+    batch: usize,
+    start: usize,
+    swept: &mut [bool],
+) -> Vec<NodeId> {
+    let mut taken = Vec::with_capacity(batch);
+    let mut next = vec![0usize; rankings.len()];
+    let mut turn = start;
+    while taken.len() < batch {
+        // The next unswept node of the first ranking, from `turn` on, that
+        // still has one.
+        let pick = (0..rankings.len()).find_map(|k| {
+            let r = (turn + k) % rankings.len();
+            let ranking = rankings[r];
+            while let Some(&v) = ranking.get(next[r]) {
+                next[r] += 1;
+                if !swept[v as usize] {
+                    return Some(v);
+                }
+            }
+            None
+        });
+        let Some(v) = pick else { break };
+        swept[v as usize] = true;
+        taken.push(v);
+        turn += 1;
+    }
+    taken
 }
 
 /// Sampled eccentricity spectrum: eccentricities of `samples` evenly spaced
@@ -222,6 +462,93 @@ mod tests {
         assert_eq!(exact_diameter(&g), 6);
         let g = generators::disjoint_union(&generators::path(20), &generators::cycle(6));
         assert_eq!(exact_diameter(&g), 19);
+    }
+
+    /// `g` with deterministic weights in `1..=9`.
+    fn weighted(g: &CsrGraph) -> WeightedGraph {
+        let edges: Vec<_> = g
+            .edges()
+            .map(|(u, v)| (u, v, (u as u64 * 7 + v as u64 * 3) % 9 + 1))
+            .collect();
+        WeightedGraph::from_edges(g.num_nodes(), &edges)
+    }
+
+    /// Bounded ≡ APSP on `g`, unit and weighted, at the ambient pool size.
+    fn assert_bounded_exact(name: &str, g: &CsrGraph) -> BoundedDiameter {
+        let unit = bounded_diameter(g);
+        assert_eq!(unit.diameter, apsp_diameter(g) as u64, "{name} (unit)");
+        assert!(unit.sweeps >= unit.rounds, "{name}: {unit:?}");
+        let wg = weighted(g);
+        assert_eq!(
+            bounded_diameter(&wg).diameter,
+            wg.apsp_diameter(),
+            "{name} (weighted)"
+        );
+        unit
+    }
+
+    #[test]
+    fn bounded_empty_and_singleton() {
+        for n in [0, 1] {
+            let d = assert_bounded_exact("empty", &CsrGraph::empty(n));
+            assert_eq!((d.diameter, d.sweeps, d.rounds), (0, 0, 0));
+        }
+    }
+
+    #[test]
+    fn bounded_on_known_shapes() {
+        assert_eq!(
+            assert_bounded_exact("path", &generators::path(10)).diameter,
+            9
+        );
+        assert_eq!(
+            assert_bounded_exact("star", &generators::star(8)).diameter,
+            2
+        );
+        assert_eq!(
+            assert_bounded_exact("cycle", &generators::cycle(11)).diameter,
+            5
+        );
+        assert_eq!(
+            assert_bounded_exact("complete", &generators::complete(6)).diameter,
+            1
+        );
+        assert_eq!(
+            assert_bounded_exact("mesh", &generators::mesh(7, 9)).diameter,
+            6 + 8
+        );
+        let lollipop = generators::lollipop(60, 4, 30, 7);
+        assert_bounded_exact("lollipop", &lollipop);
+    }
+
+    #[test]
+    fn bounded_prunes_on_meshes_and_sweeps_everything_on_cycles() {
+        let mesh = assert_bounded_exact("mesh", &generators::mesh(20, 20));
+        assert!(mesh.sweeps < 40, "mesh took {mesh:?}");
+        // Vertex-transitive: no sweep can certify another node.
+        let cycle = assert_bounded_exact("cycle", &generators::cycle(64));
+        assert_eq!(cycle.sweeps, 64);
+    }
+
+    #[test]
+    fn bounded_takes_the_largest_component() {
+        let g = generators::disjoint_union(&generators::path(7), &generators::cycle(12));
+        assert_eq!(assert_bounded_exact("path+cycle", &g).diameter, 6);
+        let g = generators::disjoint_union(&generators::path(20), &CsrGraph::empty(3));
+        assert_eq!(assert_bounded_exact("path+isolated", &g).diameter, 19);
+        assert_eq!(
+            assert_bounded_exact("isolated", &CsrGraph::empty(5)).diameter,
+            0
+        );
+    }
+
+    #[test]
+    fn bounded_weighted_prefers_light_detours() {
+        // 0 -1- 1 -1- 3 with a heavy shortcut 0 -5- 3: the weighted
+        // diameter is 2 along the light path, not the hop diameter 1.
+        let g = WeightedGraph::from_edges(4, &[(0, 1, 1), (1, 3, 1), (0, 3, 5), (2, 3, 4)]);
+        assert_eq!(bounded_diameter(&g).diameter, g.apsp_diameter());
+        assert_eq!(g.apsp_diameter(), 6);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   cluster growth — backed by a direction-optimizing [`frontier`] engine
 //!   with interchangeable top-down / bottom-up / hybrid expansion
 //!   strategies, all byte-identical by construction;
-//! * exact **diameter** computation (double sweep, iFUB, all-pairs BFS) used
-//!   as ground truth in the experiments;
+//! * exact **diameter** computation (eccentricity bounding, double sweep,
+//!   iFUB, all-pairs BFS) for quotient diameters and as ground truth in the
+//!   experiments;
 //! * **quotient graphs** of a clustering, both unweighted and weighted as
 //!   defined in §4 of the paper, together with a small weighted-graph type
-//!   and Dijkstra/APSP for computing quotient diameters;
+//!   and its Dijkstra;
 //! * a deterministic parallel [`combine`] kernel (count → prefix → scatter →
 //!   per-bucket sort/fold) underlying every contraction path — quotient and
 //!   contracted-graph builds, `GraphBuilder::build`, the spanner's CSR

@@ -109,6 +109,11 @@ pub fn weighted_quotient_with_stats<G: NeighborAccess>(
         g.num_nodes(),
         "distance array size mismatch"
     );
+    if num_clusters == 0 {
+        // The same ledger as the unweighted build's empty case.
+        let empty = WeightedGraph::from_csr_parts(vec![0], Vec::new(), Vec::new());
+        return (empty, CombineStats::default());
+    }
     // One weighted record per undirected cut edge, the packed cluster-pair
     // key in the high 64 bits and the connecting-path weight in the low 64
     // (weights fit: `dist` values are `u32`). Packing makes the min-fold a
@@ -275,6 +280,15 @@ mod tests {
         assert_eq!(stats.input_pairs, 2);
         assert_eq!(stats.output_pairs, 1);
         assert!((stats.combine_ratio() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_weighted_quotient_matches_unweighted_ledger() {
+        let g = CsrGraph::empty(0);
+        let (q, stats) = quotient_with_stats(&g, &[], 0);
+        let (wq, wstats) = weighted_quotient_with_stats(&g, &[], &[], 0);
+        assert_eq!(wq.topology(), q);
+        assert_eq!(wstats, stats);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! Weighted graphs appear in one place in the paper (§4): the *weighted
 //! quotient graph*, whose edge weights are shortest connecting-path lengths
-//! between adjacent clusters. Its diameter `Δ′_C` yields the tightened upper
-//! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP matrix is the distance oracle.
+//! between adjacent clusters. Its diameter `Δ′_C` (computed by
+//! [`crate::diameter::bounded_diameter`]) yields the tightened upper bound
+//! `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP matrix is the distance oracle.
 
 use crate::combine::{self, pack};
-use crate::{NodeId, INVALID_NODE};
+use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -115,6 +116,27 @@ impl WeightedGraph {
         self.targets.len() / 2
     }
 
+    /// Degree of `u`.
+    #[inline]
+    pub fn degree(&self, u: NodeId) -> usize {
+        let u = u as usize;
+        self.offsets[u + 1] - self.offsets[u]
+    }
+
+    /// Sorted neighbour ids of `u`.
+    #[inline]
+    fn targets_of(&self, u: NodeId) -> &[NodeId] {
+        let u = u as usize;
+        &self.targets[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// The graph without its weights: the same offsets and targets as a
+    /// [`CsrGraph`]. On a weighted quotient this is the unweighted quotient
+    /// of the same clustering.
+    pub fn topology(&self) -> CsrGraph {
+        CsrGraph::from_parts(self.offsets.clone(), self.targets.clone())
+    }
+
     /// Neighbours of `u` with weights.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
@@ -174,6 +196,7 @@ impl WeightedGraph {
 
     /// Weighted diameter via all-sources Dijkstra, parallelized. Returns the
     /// largest finite eccentricity (i.e. per-component diameters are maxed).
+    /// The test oracle of [`crate::diameter::bounded_diameter`].
     pub fn apsp_diameter(&self) -> u64 {
         if self.num_nodes() == 0 {
             return 0;
@@ -205,26 +228,37 @@ impl WeightedGraph {
             .min_by_key(|&(s, d)| (d, s))
     }
 
-    /// Structural invariant check (mirrors [`crate::CsrGraph::check_invariants`]).
+    /// Structural invariant check (mirrors [`crate::CsrGraph::check_invariants`]):
+    /// targets in range, strictly sorted and self-loop-free, and every arc
+    /// mirrored with the same weight.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_nodes();
         for u in 0..n as NodeId {
-            for (v, w) in self.neighbors(u) {
+            let mut prev = None;
+            for &v in self.targets_of(u) {
                 if v as usize >= n {
                     return Err(format!("target {v} out of range"));
                 }
                 if v == u {
                     return Err(format!("self-loop at {u}"));
                 }
-                let Some(back) = self.neighbors(v).find(|&(t, _)| t == u) else {
+                if prev >= Some(v) {
+                    return Err(format!("adjacency of {u} not strictly sorted"));
+                }
+                prev = Some(v);
+            }
+        }
+        // Every list is sorted now, so each reverse arc is one binary search.
+        for u in 0..n as NodeId {
+            for (v, w) in self.neighbors(u) {
+                let Ok(i) = self.targets_of(v).binary_search(&u) else {
                     return Err(format!("missing reverse arc ({v}, {u})"));
                 };
-                if back.1 != w {
+                if self.weights[self.offsets[v as usize] + i] != w {
                     return Err(format!("asymmetric weight on ({u}, {v})"));
                 }
             }
         }
-        let _ = INVALID_NODE; // silence unused import on some cfgs
         Ok(())
     }
 }
@@ -279,6 +313,28 @@ mod tests {
     #[test]
     fn invariants_hold() {
         assert!(diamond().check_invariants().is_ok());
+    }
+
+    #[test]
+    fn invariant_checker_catches_broken_csr() {
+        let broken = |offsets: Vec<usize>, targets: Vec<NodeId>, weights: Vec<u64>| {
+            WeightedGraph {
+                offsets,
+                targets,
+                weights,
+            }
+            .check_invariants()
+            .unwrap_err()
+        };
+        // 0-1 with weight 2 one way and 3 the other.
+        let e = broken(vec![0, 1, 2], vec![1, 0], vec![2, 3]);
+        assert!(e.contains("asymmetric weight"), "{e}");
+        // 0-1 and 0-2, but 2 lacks its arc back to 0.
+        let e = broken(vec![0, 2, 3, 3], vec![1, 2, 0], vec![1, 1, 1]);
+        assert!(e.contains("missing reverse arc"), "{e}");
+        // Node 0 lists 2 before 1.
+        let e = broken(vec![0, 2, 3, 4], vec![2, 1, 0, 0], vec![1, 1, 1, 1]);
+        assert!(e.contains("not strictly sorted"), "{e}");
     }
 
     #[test]

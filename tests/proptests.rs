@@ -27,8 +27,46 @@ fn connected_graph() -> impl Strategy<Value = CsrGraph> {
     ]
 }
 
+/// Strategy: a possibly disconnected graph — a connected family member,
+/// two of them side by side, or a sparse G(n, m) with isolated nodes.
+fn any_graph() -> impl Strategy<Value = CsrGraph> {
+    prop_oneof![
+        connected_graph(),
+        (connected_graph(), connected_graph())
+            .prop_map(|(a, b)| generators::disjoint_union(&a, &b)),
+        (1usize..90, 0usize..80, 1u64..1000).prop_map(|(n, m, s)| generators::gnm(
+            n,
+            m.min(n * (n - 1) / 2),
+            s
+        )),
+    ]
+}
+
+/// Runs `f` in a 1-thread and a 4-thread pool; returns both outputs.
+fn on_both_pools<T: Send>(f: impl Fn() -> T + Sync + Send) -> (T, T) {
+    let run = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool construction cannot fail")
+            .install(&f)
+    };
+    (run(1), run(4))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The eccentricity-bounding diameter equals the all-pairs BFS oracle
+    /// (the per-component maximum on disconnected graphs) at both pool
+    /// sizes.
+    #[test]
+    fn bounded_diameter_equals_apsp(g in any_graph()) {
+        let truth = diameter::apsp_diameter(&g) as u64;
+        let (one, four) = on_both_pools(|| diameter::bounded_diameter(&g).diameter);
+        prop_assert_eq!(one, truth);
+        prop_assert_eq!(four, truth);
+    }
 
     /// CLUSTER always returns a valid partition into connected clusters,
     /// and its cluster count respects the Theorem 1 bound (with a generous

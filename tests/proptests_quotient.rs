@@ -105,6 +105,22 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    /// The weighted quotient's topology and combine ledger equal the
+    /// unweighted quotient build's, so one contraction serves both.
+    #[test]
+    fn weighted_quotient_topology_equals_quotient(
+        input in labelled_graph(),
+        threads in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let (g, labels, dists, k) = input;
+        let (q, stats) = on_pool(threads, || quotient::quotient_with_stats(&g, &labels, k));
+        let (wq, wstats) = on_pool(threads, || {
+            quotient::weighted_quotient_with_stats(&g, &labels, &dists, k)
+        });
+        prop_assert_eq!(&wq.topology(), &q);
+        prop_assert_eq!(wstats, stats);
+    }
+
     /// Kernel contraction ≡ naive contraction: contracted graph, node
     /// weights, sorted multiplicity entries, and internal-edge mass.
     #[test]

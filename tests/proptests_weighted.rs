@@ -10,7 +10,9 @@
 //! * `weighted_cluster` (engine-backed) is byte-identical to its retained
 //!   sequential heap oracle `weighted_cluster::naive` at every δ and pool
 //!   size, and every clustering it produces passes `validate`;
-//! * `weighted_diameter` brackets the true weighted diameter;
+//! * `weighted_diameter` brackets the true weighted diameter, and the
+//!   eccentricity-bounding exact diameter equals the all-sources Dijkstra
+//!   oracle;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
 //!   (any permutation builds a byte-identical graph).
 
@@ -224,6 +226,18 @@ proptest! {
             prop_assert_eq!(&one, &oracle, "1-thread engine diverged at delta={}", delta);
             prop_assert_eq!(&four, &oracle, "4-thread engine diverged at delta={}", delta);
         }
+    }
+
+    /// The eccentricity-bounding diameter equals the all-sources Dijkstra
+    /// oracle (the per-component maximum on disconnected graphs) at both
+    /// pool sizes.
+    #[test]
+    fn bounded_diameter_equals_weighted_apsp(g in arbitrary_weighted()) {
+        let truth = g.apsp_diameter();
+        let (one, four) =
+            on_both_pools(|| pardec::graph::diameter::bounded_diameter(&g).diameter);
+        prop_assert_eq!(one, truth);
+        prop_assert_eq!(four, truth);
     }
 
     /// Paper guarantee: the weighted diameter approximation brackets the
