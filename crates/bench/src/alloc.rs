@@ -26,19 +26,46 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 /// A [`GlobalAlloc`] that forwards to [`System`] and counts bytes.
 pub struct CountingAlloc;
 
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-#[inline]
-fn on_alloc(size: usize) {
-    let now = CURRENT.fetch_add(size, Relaxed) + size;
-    PEAK.fetch_max(now, Relaxed);
+/// Live bytes and their high-water mark. The allocator updates the one
+/// process-wide instance, [`COUNTERS`].
+struct Counters {
+    current: AtomicUsize,
+    peak: AtomicUsize,
 }
 
-#[inline]
-fn on_dealloc(size: usize) {
-    CURRENT.fetch_sub(size, Relaxed);
+impl Counters {
+    const fn new() -> Self {
+        Counters {
+            current: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    #[inline]
+    fn on_alloc(&self, size: usize) {
+        let now = self.current.fetch_add(size, Relaxed) + size;
+        self.peak.fetch_max(now, Relaxed);
+    }
+
+    #[inline]
+    fn on_dealloc(&self, size: usize) {
+        self.current.fetch_sub(size, Relaxed);
+    }
+
+    fn current(&self) -> usize {
+        self.current.load(Relaxed)
+    }
+
+    fn peak(&self) -> usize {
+        self.peak.load(Relaxed)
+    }
+
+    fn reset_peak(&self) {
+        self.peak.store(self.current(), Relaxed);
+    }
 }
+
+static COUNTERS: Counters = Counters::new();
 
 // SAFETY: pure pass-through to `System`; the atomics never affect the
 // pointers handed back to callers.
@@ -46,7 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            on_alloc(layout.size());
+            COUNTERS.on_alloc(layout.size());
         }
         p
     }
@@ -54,21 +81,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            on_alloc(layout.size());
+            COUNTERS.on_alloc(layout.size());
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        on_dealloc(layout.size());
+        COUNTERS.on_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            on_dealloc(layout.size());
-            on_alloc(new_size);
+            COUNTERS.on_dealloc(layout.size());
+            COUNTERS.on_alloc(new_size);
         }
         p
     }
@@ -76,22 +103,59 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 /// Live heap bytes right now (0 when the counting allocator is disabled).
 pub fn current_bytes() -> usize {
-    CURRENT.load(Relaxed)
+    COUNTERS.current()
 }
 
 /// High-water mark of live heap bytes since start / last [`reset_peak`]
 /// (0 when the counting allocator is disabled).
 pub fn peak_bytes() -> usize {
-    PEAK.load(Relaxed)
+    COUNTERS.peak()
 }
 
 /// Restarts the high-water mark from the current live figure, so each
 /// bench phase can report its own peak.
 pub fn reset_peak() {
-    PEAK.store(CURRENT.load(Relaxed), Relaxed);
+    COUNTERS.reset_peak();
 }
 
 /// True when the counting allocator is registered (`count-alloc` feature).
 pub fn enabled() -> bool {
     cfg!(feature = "count-alloc")
+}
+
+#[cfg(test)]
+mod tests {
+    // These run on a private `Counters`: the process-wide one also moves
+    // with every other test of this binary. `tests/alloc_counters.rs`
+    // checks the registered allocator itself, alone in its own binary.
+    use super::*;
+
+    #[test]
+    fn counts_move_with_allocations() {
+        let c = Counters::new();
+        c.on_alloc(4096);
+        c.reset_peak();
+        let before = c.current();
+        c.on_alloc(1 << 20);
+        assert_eq!(c.current(), before + (1 << 20));
+        assert_eq!(c.peak(), before + (1 << 20));
+        c.on_dealloc(1 << 20);
+        assert_eq!(c.current(), before);
+        // Peak survives the drop.
+        assert_eq!(c.peak(), before + (1 << 20));
+    }
+
+    #[test]
+    fn reset_peak_rebases_to_current() {
+        let c = Counters::new();
+        c.on_alloc(1 << 20);
+        c.on_dealloc(1 << 20);
+        c.on_alloc(1 << 16);
+        assert_eq!(c.peak(), 1 << 20);
+        c.reset_peak();
+        assert_eq!(c.peak(), c.current());
+        assert_eq!(c.peak(), 1 << 16);
+        c.on_dealloc(1 << 16);
+        assert_eq!(c.peak(), 1 << 16);
+    }
 }
